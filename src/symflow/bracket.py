@@ -15,11 +15,21 @@ Iterated brackets are encoded as words over the letters ``F``/``G``
 appended to the core bracket ``{F, G}``: the word ``(w_1, ..., w_k)``
 denotes the left-nested monomial ``{...{{F, G}, w_1}, ..., w_k}``.  The
 generation with k appended letters has ``2**k`` members.
+
+:class:`BracketTable` computes the monomials of a pair as a trie of words,
+each word once from its parent.  For expression-backed fields it never
+builds a monomial expression: every word is a jet, the truncated Taylor
+coefficients ``d^alpha A / alpha!`` at each mesh point, taken from the exact
+symbolic derivatives of F and G; a bracket ``sum_ij Pi_ij d_i A d_j H`` is a
+truncated product of jets that drops the order by one (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,7 @@ __all__ = [
     "SymbolicRequiredError",
     "DegenerateInputError",
     "LieMonomial",
+    "BracketTable",
     "poisson",
     "enumerate_monomials",
     "eval_monomial",
@@ -94,36 +105,8 @@ def _torus_partials(mesh: TorusGrid, values: np.ndarray) -> tuple[np.ndarray, np
     return dq.ravel(), dp.ravel()
 
 
-def _sphere_lsq_operator(mesh: SphereTri):
-    """Per-vertex least-squares tangent gradient operator, cached on the mesh."""
-    cached = getattr(mesh, "_lsq_grad_op", None)
-    if cached is not None:
-        return cached
-    indptr, indices = mesh.neighbor_csr()
-    degrees = np.diff(indptr)
-    kmax = int(degrees.max())
-    n = mesh.n_points
-    nbr = np.zeros((n, kmax), dtype=np.int64)
-    mask = np.zeros((n, kmax))
-    for v in range(n):
-        row = indices[indptr[v]:indptr[v + 1]]
-        nbr[v, : len(row)] = row
-        mask[v, : len(row)] = 1.0
-    pts = mesh.points
-    seed = np.where(np.abs(pts[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    e1 = np.cross(pts, seed)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(pts, e1)
-    d = (pts[nbr] - pts[:, None, :]) * mask[:, :, None]
-    a = np.stack([np.einsum("nkc,nc->nk", d, e1), np.einsum("nkc,nc->nk", d, e2)], axis=2)
-    pinv = np.linalg.pinv(a)  # (n, 2, kmax)
-    op = (nbr, mask, pinv, e1, e2)
-    mesh._lsq_grad_op = op  # type: ignore[attr-defined]
-    return op
-
-
 def _sphere_gradients(mesh: SphereTri, values: np.ndarray) -> np.ndarray:
-    nbr, mask, pinv, e1, e2 = _sphere_lsq_operator(mesh)
+    nbr, mask, pinv, e1, e2 = mesh.lsq_gradient_operator()
     delta = (values[nbr] - values[:, None]) * mask
     coef = np.einsum("nik,nk->ni", pinv, delta)
     return coef[:, [0]] * e1 + coef[:, [1]] * e2
@@ -153,6 +136,92 @@ def poisson(a: ScalarField, h: ScalarField) -> ScalarField:
         gh = _sphere_gradients(mesh, h.values)
         vals = FOUR_PI * np.einsum("nc,nc->n", mesh.points, np.cross(ga, gh))
     return ScalarField(mesh, vals, None)
+
+
+# ---------------------------------------------------------------------------
+# Jets: truncated Taylor coefficients at mesh points
+# ---------------------------------------------------------------------------
+#
+# A jet of order k in d variables is an array of shape (comb(k + d, d), n)
+# holding, at each of n points, the Taylor coefficients d^alpha F / alpha! of
+# a field for |alpha| <= k.  Rows follow the graded order of _multi_indices,
+# so the order-j truncation of a jet is its first comb(j + d, d) rows.
+
+
+@functools.cache
+def _multi_indices(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Multi-indices with ``|alpha| <= order``: by degree, then descending."""
+    alphas = (a for a in itertools.product(range(order + 1), repeat=dim) if sum(a) <= order)
+    return tuple(sorted(alphas, key=lambda a: (sum(a), [-x for x in a])))
+
+
+def _jet_size(dim: int, order: int) -> int:
+    return math.comb(order + dim, dim)
+
+
+@functools.cache
+def _shift_table(dim: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per variable i: the row of ``beta + e_i`` and the factor ``beta_i + 1``
+    for every ``|beta| <= order - 1``."""
+    index = {a: row for row, a in enumerate(_multi_indices(dim, order))}
+    lower = _multi_indices(dim, order - 1)
+    table = []
+    for i in range(dim):
+        bumped = [b[:i] + (b[i] + 1,) + b[i + 1:] for b in lower]
+        rows = np.array([index[b] for b in bumped], dtype=np.intp)
+        factors = np.array([b[i] + 1.0 for b in lower])[:, None]
+        table.append((rows, factors))
+    return tuple(table)
+
+
+@functools.cache
+def _product_table(dim: int, order: int) -> tuple[np.ndarray, ...]:
+    """Per row alpha: the rows of ``alpha + beta`` for every ``|beta| <= order - |alpha|``."""
+    index = {a: row for row, a in enumerate(_multi_indices(dim, order))}
+    return tuple(
+        np.array(
+            [index[tuple(x + y for x, y in zip(a, b))] for b in _multi_indices(dim, order - sum(a))],
+            dtype=np.intp,
+        )
+        for a in _multi_indices(dim, order)
+    )
+
+
+def _jet_product(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Truncated product of two jets of at least ``order``."""
+    out = np.zeros((_jet_size(dim, order), a.shape[1]))
+    for row, targets in enumerate(_product_table(dim, order)):
+        out[targets] += a[row] * b[: len(targets)]
+    return out
+
+
+def _jet_partial(jet: np.ndarray, i: int, dim: int, order: int) -> np.ndarray:
+    """Partial derivative in variable ``i`` of a jet of ``order``; one order lower."""
+    rows, factors = _shift_table(dim, order)[i]
+    return factors * jet[rows]
+
+
+def _jet_times_coordinate(jet: np.ndarray, i: int, base: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Truncated product of a jet with the coordinate ``x_i = base + delta_i``."""
+    rows, _ = _shift_table(dim, order)[i]
+    out = base * jet[: _jet_size(dim, order)]
+    out[rows] += jet[: len(rows)]
+    return out
+
+
+def _taylor_jet(expr: Expression, mesh, order: int) -> np.ndarray:
+    """Jet of an expression at the mesh points, from its exact symbolic derivatives."""
+    names = mesh.coord_names
+    alphas = _multi_indices(len(names), order)
+    derivatives = {alphas[0]: expr}
+    jet = np.empty((len(alphas), mesh.n_points))
+    for row, alpha in enumerate(alphas):
+        if row:
+            i = next(k for k, a in enumerate(alpha) if a)
+            parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            derivatives[alpha] = derivatives[parent].diff(names[i])
+        jet[row] = derivatives[alpha].eval_at(mesh.points) / math.prod(map(math.factorial, alpha))
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +270,127 @@ def enumerate_monomials(generation: int) -> list[LieMonomial]:
     return [LieMonomial(tuple(w)) for w in sorted(words)]
 
 
+def _measure(generation: int, norm: str, top: int):
+    """The norm function, after checking ``2 <= generation <= top`` and the norm name."""
+    if not 2 <= generation <= top:
+        raise OutOfRangeError(f"generation must be in [2, {top}], got {generation}")
+    if norm not in ("uniform", "l1"):
+        raise OutOfRangeError(f"norm must be 'uniform' or 'l1', got {norm!r}")
+    return uniform_norm if norm == "uniform" else l1_norm
+
+
+class BracketTable:
+    """The left-nested monomials of a pair with up to ``depth`` brackets.
+
+    Words form a trie built on demand: the word ``w + (letter,)`` is the
+    bracket of the word ``w`` with F or G, so each word is computed once.
+    For expression-backed pairs every word is a jet of order
+    ``depth - 1 - len(w)`` (a bracket drops the order by one), starting from
+    jets of F and G built on their exact symbolic derivatives; both children
+    of a word share its gradient.  Other pairs use the finite-difference
+    :func:`poisson`, which refuses four or more brackets unless
+    ``allow_numeric`` is set.
+    """
+
+    def __init__(self, f: ScalarField, g: ScalarField, depth: int, allow_numeric: bool = False):
+        if not f.mesh.same_as(g.mesh):
+            raise MeshMismatchError("fields live on different meshes")
+        if not 1 <= depth <= MAX_GENERATION:
+            raise OutOfRangeError(f"depth must be in [1, {MAX_GENERATION}], got {depth}")
+        symbolic = f.expr is not None and g.expr is not None
+        if depth >= 4 and not symbolic and not allow_numeric:
+            raise SymbolicRequiredError(
+                f"monomials with {depth} brackets need expression-backed fields; "
+                "numeric differentiation is too lossy (pass allow_numeric=True to override)"
+            )
+        self.f, self.g, self.depth = f, g, depth
+        self.mesh = f.mesh
+        self._fields: dict[tuple[str, ...], ScalarField] = {}
+        self._jets: dict[tuple[str, ...], np.ndarray] | None = None
+        if symbolic:
+            self._dim = len(self.mesh.coord_names)
+            grad_f = self._gradient(_taylor_jet(f.expr, self.mesh, depth), depth)
+            grad_g = self._gradient(_taylor_jet(g.expr, self.mesh, depth), depth)
+            self._vectors = {"F": self._hamiltonian_vector(grad_f), "G": self._hamiltonian_vector(grad_g)}
+            self._gradients: dict[tuple[str, ...], list[np.ndarray]] = {}
+            self._jets = {(): self._bracket(grad_f, "G", depth - 1)}
+
+    def _gradient(self, jet: np.ndarray, order: int) -> list[np.ndarray]:
+        return [_jet_partial(jet, i, self._dim, order) for i in range(self._dim)]
+
+    def _hamiltonian_vector(self, grad: list[np.ndarray]) -> list[np.ndarray]:
+        """``Pi grad H`` with ``{A, H} = grad A . Pi grad H``, as jets of order depth - 1."""
+        if self.mesh.kind == "torus":
+            return [grad[1], -grad[0]]
+        order = self.depth - 1
+        pts = self.mesh.points
+
+        def times_x(j: int, i: int) -> np.ndarray:
+            return _jet_times_coordinate(grad[j], i, pts[:, i], 3, order)
+
+        # 4*pi * x . (grad A x grad H) = grad A . (4*pi * grad H x x)
+        return [
+            FOUR_PI * (times_x((j + 1) % 3, (j + 2) % 3) - times_x((j + 2) % 3, (j + 1) % 3))
+            for j in range(3)
+        ]
+
+    def _bracket(self, grad: list[np.ndarray], letter: str, order: int) -> np.ndarray:
+        return sum(_jet_product(a, v, self._dim, order) for a, v in zip(grad, self._vectors[letter]))
+
+    def _jet(self, word: tuple[str, ...]) -> np.ndarray:
+        jet = self._jets.get(word)
+        if jet is None:
+            parent = word[:-1]
+            order = self.depth - 1 - len(word)
+            grad = self._gradients.get(parent)
+            if grad is None:
+                grad = self._gradients[parent] = self._gradient(self._jet(parent), order + 1)
+            jet = self._jets[word] = self._bracket(grad, word[-1], order)
+        return jet
+
+    def field(self, word: tuple[str, ...]) -> ScalarField:
+        """The monomial ``{...{{F, G}, w_1}, ..., w_k}`` on the mesh."""
+        word = tuple(word)
+        if len(word) >= self.depth:
+            raise OutOfRangeError(f"word {word} needs more than the table's {self.depth} brackets")
+        field = self._fields.get(word)
+        if field is None:
+            if self._jets is not None:
+                field = ScalarField(self.mesh, self._jet(word)[0].copy())
+            elif word:
+                field = poisson(self.field(word[:-1]), self.f if word[-1] == "F" else self.g)
+            else:
+                field = poisson(self.f, self.g)
+            self._fields[word] = field
+        return field
+
+    def q_norm(self, generation: int, norm: str = "uniform") -> float:
+        """Sum, in lexicographic word order, of the norms of the monomials with
+        ``generation - 1`` brackets; see :func:`q_norm`."""
+        measure = _measure(generation, norm, min(MAX_GENERATION, self.depth + 1))
+        return sum(measure(self.field(m.word)) for m in enumerate_monomials(generation - 1))
+
+    def khl_ratio(self, generation: int, norm: str = "uniform") -> float:
+        """See :func:`khl_ratio`."""
+        qn = self.q_norm(generation, norm)
+        measure = uniform_norm if norm == "uniform" else l1_norm
+        num = measure(self.field(()))
+        small = min(measure(self.f), measure(self.g))
+        exponent = (generation - 2) / (generation - 1)
+        denom = small**exponent * qn ** (1.0 / (generation - 1))
+        if denom == 0.0:
+            raise DegenerateInputError("commuting or vanishing pair: bound denominator is zero")
+        return num / denom
+
+
 def eval_monomial(
     monomial: LieMonomial,
     f: ScalarField,
     g: ScalarField,
     allow_numeric: bool = False,
 ) -> ScalarField:
-    """Evaluate a monomial by left-folding :func:`poisson`."""
-    symbolic = f.expr is not None and g.expr is not None
-    if monomial.bracket_count >= 4 and not symbolic and not allow_numeric:
-        raise SymbolicRequiredError(
-            f"monomial {monomial} applies {monomial.bracket_count} brackets; "
-            "numeric differentiation is too lossy (pass allow_numeric=True to override)"
-        )
-    out = poisson(f, g)
-    for letter in monomial.word:
-        out = poisson(out, f if letter == "F" else g)
-    return out
+    """Evaluate one monomial through a :class:`BracketTable` of its depth."""
+    return BracketTable(f, g, monomial.bracket_count, allow_numeric).field(monomial.word)
 
 
 def q_norm(
@@ -233,15 +406,8 @@ def q_norm(
     ``generation - 1`` bracket applications.  ``norm`` selects the
     mesh-max uniform norm or the mass-weighted L1 norm.
     """
-    if not 2 <= generation <= MAX_GENERATION:
-        raise OutOfRangeError(f"generation must be in [2, {MAX_GENERATION}], got {generation}")
-    if norm not in ("uniform", "l1"):
-        raise OutOfRangeError(f"norm must be 'uniform' or 'l1', got {norm!r}")
-    measure = uniform_norm if norm == "uniform" else l1_norm
-    total = 0.0
-    for monomial in enumerate_monomials(generation - 1):
-        total += measure(eval_monomial(monomial, f, g, allow_numeric=allow_numeric))
-    return total
+    _measure(generation, norm, MAX_GENERATION)
+    return BracketTable(f, g, generation - 1, allow_numeric).q_norm(generation, norm)
 
 
 def khl_ratio(
@@ -257,12 +423,5 @@ def khl_ratio(
     for ``n = generation``.  Raises :class:`DegenerateInputError` when the
     denominator vanishes.
     """
-    measure = uniform_norm if norm == "uniform" else l1_norm
-    num = measure(poisson(f, g))
-    qn = q_norm(generation, f, g, norm=norm, allow_numeric=allow_numeric)
-    small = min(measure(f), measure(g))
-    exponent = (generation - 2) / (generation - 1)
-    denom = small**exponent * qn ** (1.0 / (generation - 1))
-    if denom == 0.0:
-        raise DegenerateInputError("commuting or vanishing pair: bound denominator is zero")
-    return num / denom
+    _measure(generation, norm, MAX_GENERATION)
+    return BracketTable(f, g, generation - 1, allow_numeric).khl_ratio(generation, norm)

@@ -30,12 +30,11 @@ import numpy as np
 
 from . import __version__
 from .bracket import (
+    MAX_GENERATION,
+    BracketTable,
     DegenerateInputError,
     enumerate_monomials,
-    eval_monomial,
-    khl_ratio,
     poisson,
-    q_norm,
 )
 from .expr import ExprSyntaxError
 from .manifold import ScalarField, build_sphere, build_torus, l1_norm, sample, uniform_norm
@@ -310,9 +309,10 @@ def inequality_sweep(cfg: ExperimentConfig) -> ResultTable:
     def work(item):
         label, fi, gi = item
         d = pi_defect(fi, gi)
+        table = BracketTable(fi, gi, cfg.n_max - 1)
         out = []
         for n in cfg.n_values:
-            qn = q_norm(n, fi, gi, norm=cfg.norm)
+            qn = table.q_norm(n, cfg.norm)
             if qn <= _DEGENERATE_QN:
                 out.append((label, n, d.defect, qn, math.nan, "DegenerateRatio"))
             else:
@@ -349,11 +349,11 @@ def _normalized(f: ScalarField, norm: str) -> ScalarField:
     return f * (1.0 / size)
 
 
-def _monomial_profile(f: ScalarField, g: ScalarField, n: int, norm: str):
+def _monomial_profile(table: BracketTable, n: int, norm: str):
     """Per-monomial norms at depth n, tagged with their degree in the second field."""
     measure = _measure(norm)
     return [
-        (m.degree_in_g, measure(eval_monomial(m, f, g)))
+        (m.degree_in_g, measure(table.field(m.word)))
         for m in enumerate_monomials(n - 1)
     ]
 
@@ -389,7 +389,7 @@ def dn_upper(f: ScalarField, g: ScalarField, n: int, eps: float,
         raise ConfigError("eps must be positive")
     fn = _normalized(f, norm)
     gn = _normalized(g, norm)
-    profile = _monomial_profile(fn, gn, n, norm)
+    profile = _monomial_profile(BracketTable(fn, gn, n - 1), n, norm)
     return 1.0 - _bisect_scaling(profile, eps)
 
 
@@ -431,11 +431,12 @@ def dn_sweep(cfg: ExperimentConfig) -> ResultTable:
     fn = _normalized(f, cfg.norm)
     gn = _normalized(g, cfg.norm)
     pi_n = pi_defect(fn, gn).defect
+    table = BracketTable(fn, gn, cfg.n_max - 1)
 
     eps_sorted = tuple(sorted(cfg.eps_grid))
     rows: list[tuple] = []
     for n in cfg.n_values:
-        profile = _monomial_profile(fn, gn, n, cfg.norm)
+        profile = _monomial_profile(table, n, cfg.norm)
         uppers, lowers = [], []
         for eps in eps_sorted:
             upper = 1.0 - _bisect_scaling(profile, eps)
@@ -465,10 +466,11 @@ def khl_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     def work(item):
         label, fi, gi = item
+        table = BracketTable(fi, gi, cfg.n_max - 1)
         out = []
         for n in cfg.n_values:
             try:
-                out.append((label, n, khl_ratio(n, fi, gi, norm=cfg.norm), ""))
+                out.append((label, n, table.khl_ratio(n, cfg.norm), ""))
             except DegenerateInputError:
                 out.append((label, n, math.nan, "DegenerateInput"))
         return out
@@ -498,9 +500,10 @@ def l1_sweep(cfg: ExperimentConfig) -> ResultTable:
     def work(item):
         label, fi, gi = item
         d = pi_defect(fi, gi)
+        table = BracketTable(fi, gi, cfg.n_max - 1)
         out = []
         for n in cfg.n_values:
-            ql1 = q_norm(n, fi, gi, norm="l1")
+            ql1 = table.q_norm(n, "l1")
             if ql1 <= _DEGENERATE_QN:
                 out.append((label, n, d.defect, ql1, math.nan, "DegenerateRatio"))
             else:
@@ -572,10 +575,11 @@ def _cmd_qn(cfg: ExperimentConfig):
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)
+    table = BracketTable(f, g, cfg.n_max - 1)
     rows = []
     lines = []
     for n in cfg.n_values:
-        value = q_norm(n, f, g, norm=cfg.norm)
+        value = table.q_norm(n, cfg.norm)
         rows.append(("qn", n, value, cfg.norm))
         lines.append(f"depth {n}: {value:.12g}")
     return ResultTable(("op", "n", "q_n", "norm"), rows, _meta(cfg, op="qn")), lines
@@ -620,6 +624,11 @@ def _cmd_flow_order(cfg: ExperimentConfig):
 
 
 def _cmd_remainder(cfg: ExperimentConfig):
+    if cfg.order + 1 > MAX_GENERATION:
+        raise ConfigError(
+            f"remainder does not support order {cfg.order}: its bound needs bracket "
+            f"generation {cfg.order + 1}, above {MAX_GENERATION}; use order 1, 2, 4 or 6"
+        )
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)

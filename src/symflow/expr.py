@@ -327,18 +327,12 @@ def compile_evaluator(expr: "Expression"):
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _fmt_float(v: float) -> str:
-    if v == math.floor(v) and abs(v) < 1e16:
-        return repr(v)
-    return repr(v)
-
-
 def _print(node: Node) -> tuple[str, int]:
     """Render a node, returning (text, precedence of the outermost operator)."""
     if isinstance(node, Const):
         if node.value < 0 or (node.value == 0 and math.copysign(1, node.value) < 0):
-            return "-" + _fmt_float(-node.value), _PREC_NEG
-        return _fmt_float(node.value), _PREC_ATOM
+            return "-" + repr(-node.value), _PREC_NEG
+        return repr(node.value), _PREC_ATOM
     if isinstance(node, Var):
         return node.name, _PREC_ATOM
     if isinstance(node, Call):

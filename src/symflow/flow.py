@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bracket import DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson, q_norm
+from .bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson, q_norm
 from .expr import compile_evaluator
 from .manifold import Mesh, ScalarField, interpolate, l1_norm, uniform_norm
 from .scheme import SplittingScheme
@@ -62,8 +62,6 @@ __all__ = [
     "flow_equivalence_order",
     "EquivalenceOrders",
 ]
-
-FOUR_PI = 4.0 * np.pi
 
 
 class NotRecognizedError(ValueError):

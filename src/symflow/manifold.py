@@ -122,6 +122,7 @@ class SphereTri(Mesh):
         self._vert_tris: Optional[list[np.ndarray]] = None
         self._tri_inv: Optional[np.ndarray] = None
         self._neighbors: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._lsq_gradient: Optional[tuple[np.ndarray, ...]] = None
 
     def signature(self) -> tuple:
         return ("sphere", self.level)
@@ -164,6 +165,34 @@ class SphereTri(Mesh):
             indptr = np.cumsum(indptr)
             self._neighbors = (indptr, both[:, 1].copy())
         return self._neighbors
+
+    def lsq_gradient_operator(self) -> tuple[np.ndarray, ...]:
+        """Per-vertex least-squares tangent gradient operator.
+
+        Returns ``(nbr, mask, pinv, e1, e2)``: padded neighbour indices, their
+        validity mask, the pseudo-inverse mapping neighbour differences to
+        coefficients in the tangent frame, and that frame.
+        """
+        if self._lsq_gradient is None:
+            indptr, indices = self.neighbor_csr()
+            kmax = int(np.diff(indptr).max())
+            n = self.n_points
+            nbr = np.zeros((n, kmax), dtype=np.int64)
+            mask = np.zeros((n, kmax))
+            for v in range(n):
+                row = indices[indptr[v]:indptr[v + 1]]
+                nbr[v, : len(row)] = row
+                mask[v, : len(row)] = 1.0
+            pts = self.points
+            seed = np.where(np.abs(pts[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+            e1 = np.cross(pts, seed)
+            e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+            e2 = np.cross(pts, e1)
+            d = (pts[nbr] - pts[:, None, :]) * mask[:, :, None]
+            a = np.stack([np.einsum("nkc,nc->nk", d, e1), np.einsum("nkc,nc->nk", d, e2)], axis=2)
+            pinv = np.linalg.pinv(a)  # (n, 2, kmax)
+            self._lsq_gradient = (nbr, mask, pinv, e1, e2)
+        return self._lsq_gradient
 
     def edges(self) -> np.ndarray:
         """Unique undirected mesh edges as an (e, 2) array with u < v."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symflow.bracket import (
+    BracketTable,
     DegenerateInputError,
     LieMonomial,
     OutOfRangeError,
@@ -219,3 +220,69 @@ def test_q_norm_out_of_range(torus_pair):
         q_norm(9, f, g)
     with pytest.raises(OutOfRangeError):
         q_norm(3, f, g, norm="L3")
+
+
+# ---------------------------------------------------------------------------
+# The jet engine behind BracketTable against the symbolic left fold
+# ---------------------------------------------------------------------------
+
+
+def left_fold(f, g, word):
+    """The monomial of ``word`` by left-folding the public ``poisson``."""
+    out = poisson(f, g)
+    for letter in word:
+        out = poisson(out, f if letter == "F" else g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "surface, sources",
+    [
+        ("torus", ("sin(2*pi*q)*exp(cos(2*pi*p))", "cos(2*pi*q)^3 + 1/(2 + sin(2*pi*p))")),
+        ("sphere", ("x^3 - 2*y*z + sin(y)", "exp(z) + 1/(2 + x)")),
+    ],
+)
+def test_table_matches_symbolic_left_fold(surface, sources):
+    mesh = build_torus(16, 16) if surface == "torus" else build_sphere(3)
+    f, g = (sample(mesh, s) for s in sources)
+    table = BracketTable(f, g, 6)
+    folded = {(): poisson(f, g)}  # every prefix once, each from its parent
+    for generation in range(2, 7):
+        for m in enumerate_monomials(generation):
+            parent = folded[m.word[:-1]]
+            ref = folded[m.word] = poisson(parent, f if m.word[-1] == "F" else g)
+            got = table.field(m.word)
+            assert got.expr is None
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-10 * scale, m
+
+
+def test_numeric_q_norm_is_the_left_fold(torus, sphere):
+    rng = np.random.default_rng(31)
+    for mesh in (torus, sphere):
+        f = ScalarField(mesh, rng.normal(size=mesh.n_points))
+        g = ScalarField(mesh, rng.normal(size=mesh.n_points))
+        for generation in (2, 3, 4, 5):
+            folded = 0.0
+            for m in enumerate_monomials(generation - 1):
+                folded += uniform_norm(left_fold(f, g, m.word))
+            assert q_norm(generation, f, g, allow_numeric=True) == folded
+
+
+def test_deep_q_norm_homogeneity():
+    mesh = build_sphere(3)
+    f = sample(mesh, "1 - 2*x^2 + 0.1*x*y*z")
+    g = sample(mesh, "1 - 2*y^2 + 0.1*(x*z - y^3)")
+    e = 1.5
+    for n in (7, 8):
+        assert q_norm(n, e * f, e * g) == pytest.approx(e**n * q_norm(n, f, g), rel=1e-6)
+
+
+def test_table_reads_every_depth(sphere):
+    f = sample(sphere, "1-2*x^2")
+    g = sample(sphere, "1-2*y^2+x*z")
+    table = BracketTable(f, g, 4)
+    for n in (2, 3, 4, 5):
+        assert table.q_norm(n) == q_norm(n, f, g)
+    with pytest.raises(OutOfRangeError):
+        table.q_norm(6)

@@ -352,6 +352,15 @@ def test_remainder_reports_exponent(tmp_path, capsys):
     assert "exponent" in capsys.readouterr().out
 
 
+def test_remainder_rejects_order_beyond_the_bracket_range(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, manifold="torus", f="0.3*sin(2*pi*q)", g="0.2*cos(2*pi*p)")
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the order check"))
+    assert run(["remainder", "--spec", spec, "--order", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: remainder does not support order 8")
+    assert "1, 2, 4 or 6" in err
+
+
 def test_expansion_lists_terms_and_residuals(tmp_path):
     spec = write_spec(
         tmp_path, manifold="torus", torus_n=32,

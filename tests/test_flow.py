@@ -210,6 +210,15 @@ def test_reference_matches_scipy_on_torus(torus_pair):
     assert np.max(point_distances("torus", ref, end)) < 1e-9
 
 
+def test_numeric_velocity_on_sphere(sphere):
+    h = ScalarField(sphere, sphere.points[:, 2].copy())  # H = z without an expression
+    pts = default_probes("sphere", 20, seed=3)
+    vel = StaticHamiltonian(h).velocity(pts, 0.0)
+    exact = 4.0 * np.pi * np.column_stack([-pts[:, 1], pts[:, 0], np.zeros(len(pts))])
+    assert np.max(np.abs(vel - exact)) <= 0.02 * 4.0 * np.pi
+    assert sphere.lsq_gradient_operator() is sphere.lsq_gradient_operator()
+
+
 def test_reference_energy_drift(sphere):
     h = sample(sphere, "x*y + 0.5*z^2")
     pts = default_probes("sphere", 30, seed=13)
