@@ -63,7 +63,10 @@ MAX_GENERATION = 8
 
 
 class OutOfRangeError(ValueError):
-    """Index outside the supported range."""
+    """A requested generation, depth, order or option outside the supported range.
+
+    One class for the whole package: :mod:`symflow.scheme` re-exports it.
+    """
 
 
 class SymbolicRequiredError(ValueError):

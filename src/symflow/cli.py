@@ -5,8 +5,8 @@ data: sweeps of the defect-versus-bracket-norm ratio over seeded field
 families, tube-distance estimates from bisection, interpolation-type
 bracket ratios, integrator order fits, and a few one-shot demos.  Output
 is CSV (RFC 4180, 17 significant digits) plus a JSON metadata sidecar;
-identical configuration and seed give byte-identical CSV regardless of
-the worker count, because rows are assembled in grid order and all
+identical configuration and seed give byte-identical CSV, because the
+sweeps run in one thread, rows are assembled in grid order and all
 randomness is drawn up front.
 
 Exit codes: 0 on success, 2 when a checked invariant fails, 1 on any
@@ -22,9 +22,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +74,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs, flat and JSON-serializable."""
+    """Everything a sweep needs, flat and JSON-serializable.
+
+    ``workers`` is accepted, echoed in the sidecar and hashed, but ignored:
+    sweeps run in one thread, since threads gave no speedup on this
+    GIL-bound work.
+    """
 
     manifold: str = "sphere"
     level: int = 4
@@ -100,8 +104,8 @@ class ExperimentConfig:
             raise ConfigError(f"manifold must be 'sphere' or 'torus', got {self.manifold!r}")
         if self.norm not in ("uniform", "l1"):
             raise ConfigError(f"norm must be 'uniform' or 'l1', got {self.norm!r}")
-        if self.n_max < 2:
-            raise ConfigError("n_max must be at least 2")
+        if not 2 <= self.n_max <= MAX_GENERATION:
+            raise ConfigError(f"n_max must be in [2, {MAX_GENERATION}], got {self.n_max}")
         for name in ("t_grid", "e_grid", "eps_grid", "amplitudes"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -222,16 +226,6 @@ def _meta(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """Ordered map; thread count never affects the result sequence."""
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Seeded field families
 # ---------------------------------------------------------------------------
@@ -289,52 +283,60 @@ _DEGENERATE_QN = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _sphere_family(cfg: ExperimentConfig, what: str):
+    """Validate a defect sweep's config; return its pair family on the sphere."""
+    cfg.validate()
+    if cfg.manifold != "sphere":
+        raise ConfigError(f"{what} needs the quasi-state, so a sphere manifold")
+    return _pair_family(cfg, cfg.mesh())
+
+
+def _defect_rows(cfg: ExperimentConfig, op: str, pairs, norm: str) -> list[tuple]:
+    """One (op, pair, n, pi, q_n, ratio, flag, tau) row per pair per depth.
+
+    Pairs whose bracket norms vanish are flagged DegenerateRatio instead of
+    dividing by zero.
+    """
+    tol = tau(cfg.level)
+    rows: list[tuple] = []
+    for label, fi, gi in pairs:
+        pi = pi_defect(fi, gi).defect
+        table = BracketTable(fi, gi, cfg.n_max - 1)
+        for n in cfg.n_values:
+            qn = table.q_norm(n, norm)
+            if qn <= _DEGENERATE_QN:
+                rows.append((op, label, n, pi, qn, math.nan, "DegenerateRatio", tol))
+            else:
+                rows.append((op, label, n, pi, qn, pi / qn ** (1.0 / n), "", tol))
+    return rows
+
+
+def _family_max(rows: list[tuple], ratio_col: int) -> dict[int, tuple]:
+    """Per depth, the first unflagged (op, pair, n, ..., flag, tau) row of largest ratio."""
+    best: dict[int, tuple] = {}
+    for row in rows:
+        n = row[2]
+        if not row[-2] and (n not in best or row[ratio_col] > best[n][ratio_col]):
+            best[n] = row
+    return best
+
+
 def inequality_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Defect against bracket-norm ratio over the seeded family.
 
     One row per pair per bracket depth, a scaling block for the base pair,
     and a summary row per depth carrying the empirical constant (the max
-    ratio over nondegenerate rows).  Pairs whose bracket norms vanish are
-    flagged DegenerateRatio instead of dividing by zero.
+    ratio over nondegenerate rows).
     """
-    cfg.validate()
-    if cfg.manifold != "sphere":
-        raise ConfigError("the defect sweep needs the quasi-state, so a sphere manifold")
-    mesh = cfg.mesh()
-    tol = tau(cfg.level)
-    pairs = _pair_family(cfg, mesh)
+    pairs = _sphere_family(cfg, "the defect sweep")
     base_f, base_g = pairs[0][1], pairs[0][2]
     scaled = [(f"scale{e:g}", e * base_f, e * base_g) for e in cfg.e_grid]
-
-    def work(item):
-        label, fi, gi = item
-        d = pi_defect(fi, gi)
-        table = BracketTable(fi, gi, cfg.n_max - 1)
-        out = []
-        for n in cfg.n_values:
-            qn = table.q_norm(n, cfg.norm)
-            if qn <= _DEGENERATE_QN:
-                out.append((label, n, d.defect, qn, math.nan, "DegenerateRatio"))
-            else:
-                out.append((label, n, d.defect, qn, d.defect / qn ** (1.0 / n), ""))
-        return out
-
-    fam_rows = _parallel_map(work, pairs, cfg.workers)
-    scale_rows = _parallel_map(work, scaled, cfg.workers)
-
-    rows: list[tuple] = []
-    best: dict[int, tuple] = {}
-    for chunk in fam_rows:
-        for label, n, pi, qn, ratio, flag in chunk:
-            rows.append(("pair", label, n, pi, qn, ratio, flag, tol))
-            if not flag and (n not in best or ratio > best[n][2]):
-                best[n] = (pi, qn, ratio)
-    for chunk in scale_rows:
-        for label, n, pi, qn, ratio, flag in chunk:
-            rows.append(("scaling", label, n, pi, qn, ratio, flag, tol))
+    rows = _defect_rows(cfg, "pair", pairs, cfg.norm)
+    best = _family_max(rows, 5)
+    rows += _defect_rows(cfg, "scaling", scaled, cfg.norm)
     for n in cfg.n_values:
-        pi, qn, ratio = best.get(n, (math.nan, math.nan, math.nan))
-        rows.append(("c_n", "family-max", n, pi, qn, ratio, "", tol))
+        pi, qn, ratio = best[n][3:6] if n in best else (math.nan,) * 3
+        rows.append(("c_n", "family-max", n, pi, qn, ratio, "", tau(cfg.level)))
 
     meta = _meta(cfg, op="inequality", pairs=len(pairs), scaling_points=len(scaled))
     return ResultTable(
@@ -410,26 +412,17 @@ def dn_lower(f: ScalarField, g: ScalarField, n: int, eps: float,
 def dn_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Upper and lower tube-distance estimates over the eps grid.
 
-    Empirical constants come from the inequality sweep on the same
-    config.  Both columns must be nonincreasing in eps; a lower estimate
-    exceeding the upper one by more than the mesh tolerance marks the
-    constant as underestimated rather than failing the run.
+    Empirical constants are the family maxima of the inequality sweep on
+    the same config.  Both columns must be nonincreasing in eps; a lower
+    estimate exceeding the upper one by more than the mesh tolerance marks
+    the constant as underestimated rather than failing the run.
     """
-    cfg.validate()
-    if cfg.manifold != "sphere":
-        raise ConfigError("tube distances need the quasi-state, so a sphere manifold")
-    mesh = cfg.mesh()
+    pairs = _sphere_family(cfg, "tube distances")
     tol = tau(cfg.level)
-    ineq = inequality_sweep(cfg)
-    c_emp = {
-        row[2]: row[5]
-        for row in ineq.rows
-        if row[0] == "c_n"
-    }
-    f = sample(mesh, cfg.f, name="F")
-    g = sample(mesh, cfg.g, name="G")
-    fn = _normalized(f, cfg.norm)
-    gn = _normalized(g, cfg.norm)
+    best = _family_max(_defect_rows(cfg, "pair", pairs, cfg.norm), 5)
+    c_emp = {n: best[n][5] if n in best else math.nan for n in cfg.n_values}
+    fn = _normalized(pairs[0][1], cfg.norm)
+    gn = _normalized(pairs[0][2], cfg.norm)
     pi_n = pi_defect(fn, gn).defect
     table = BracketTable(fn, gn, cfg.n_max - 1)
 
@@ -460,60 +453,27 @@ def dn_sweep(cfg: ExperimentConfig) -> ResultTable:
 def khl_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Interpolation-type bracket ratio over the family, per depth."""
     cfg.validate()
-    mesh = cfg.mesh()
     tol = cfg.tolerance()
-    pairs = _pair_family(cfg, mesh)
-
-    def work(item):
-        label, fi, gi = item
+    pairs = _pair_family(cfg, cfg.mesh())
+    rows: list[tuple] = []
+    for label, fi, gi in pairs:
         table = BracketTable(fi, gi, cfg.n_max - 1)
-        out = []
         for n in cfg.n_values:
             try:
-                out.append((label, n, table.khl_ratio(n, cfg.norm), ""))
+                rows.append(("pair", label, n, table.khl_ratio(n, cfg.norm), "", tol))
             except DegenerateInputError:
-                out.append((label, n, math.nan, "DegenerateInput"))
-        return out
-
-    rows: list[tuple] = []
-    best: dict[int, float] = {}
-    for chunk in _parallel_map(work, pairs, cfg.workers):
-        for label, n, ratio, flag in chunk:
-            rows.append(("pair", label, n, ratio, flag, tol))
-            if not flag and (n not in best or ratio > best[n]):
-                best[n] = ratio
+                rows.append(("pair", label, n, math.nan, "DegenerateInput", tol))
+    best = _family_max(rows, 3)
     for n in cfg.n_values:
-        rows.append(("a_n", "family-max", n, best.get(n, math.nan), "", tol))
+        rows.append(("a_n", "family-max", n, best[n][3] if n in best else math.nan, "", tol))
     meta = _meta(cfg, op="khl", pairs=len(pairs))
     return ResultTable(("op", "pair", "n", "ratio", "flag", "tau"), rows, meta)
 
 
 def l1_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Defect against mass-weighted bracket norms; exploratory data only."""
-    cfg.validate()
-    if cfg.manifold != "sphere":
-        raise ConfigError("the defect needs the quasi-state, so a sphere manifold")
-    mesh = cfg.mesh()
-    tol = tau(cfg.level)
-    pairs = _pair_family(cfg, mesh)
-
-    def work(item):
-        label, fi, gi = item
-        d = pi_defect(fi, gi)
-        table = BracketTable(fi, gi, cfg.n_max - 1)
-        out = []
-        for n in cfg.n_values:
-            ql1 = table.q_norm(n, "l1")
-            if ql1 <= _DEGENERATE_QN:
-                out.append((label, n, d.defect, ql1, math.nan, "DegenerateRatio"))
-            else:
-                out.append((label, n, d.defect, ql1, d.defect / ql1 ** (1.0 / n), ""))
-        return out
-
-    rows: list[tuple] = []
-    for chunk in _parallel_map(work, pairs, cfg.workers):
-        for label, n, pi, ql1, ratio, flag in chunk:
-            rows.append(("pair", label, n, pi, ql1, ratio, flag, tol))
+    pairs = _sphere_family(cfg, "the l1 sweep")
+    rows = _defect_rows(cfg, "pair", pairs, "l1")
     meta = _meta(cfg, op="l1", caveat=_L1_CAVEAT, pairs=len(pairs))
     return ResultTable(
         ("op", "pair", "n", "pi", "q_l1", "ratio", "flag", "tau"), rows, meta
@@ -753,7 +713,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--norm", choices=("uniform", "l1"))
         p.add_argument("--out", metavar="PATH", help="CSV output path")
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
     return parser
 
 
@@ -762,7 +721,7 @@ def _config_from_args(args) -> ExperimentConfig:
     overrides = {}
     for key, attr in (
         ("level", "level"), ("order", "order"), ("n", "n_max"),
-        ("norm", "norm"), ("out", "out"), ("seed", "seed"), ("workers", "workers"),
+        ("norm", "norm"), ("out", "out"), ("seed", "seed"),
     ):
         value = getattr(args, key)
         if value is not None:

@@ -37,10 +37,8 @@ __all__ = [
     "build_sphere",
     "sample",
     "mean",
-    "normalize_zero_mean",
     "uniform_norm",
     "l1_norm",
-    "distance_d",
     "interpolate",
 ]
 
@@ -243,16 +241,6 @@ class ScalarField:
     def __neg__(self) -> "ScalarField":
         return self * (-1.0)
 
-    def shift(self, c: float) -> "ScalarField":
-        expr = self.expr + Expression(_const(c), self.expr.variables) if self.expr is not None else None
-        return ScalarField(self.mesh, self.values + c, expr)
-
-
-def _const(c: float):
-    from .expr import Const
-
-    return Const(float(c))
-
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -342,96 +330,13 @@ def mean(f: ScalarField) -> float:
     return float(np.dot(f.mesh.weights, f.values))
 
 
-def normalize_zero_mean(f: ScalarField) -> ScalarField:
-    return f.shift(-mean(f))
-
-
 def l1_norm(f: ScalarField) -> float:
     return float(np.dot(f.mesh.weights, np.abs(f.values)))
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 40) -> float:
-    """Golden-section maximisation of a unimodal-ish 1D function; returns argmax."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
-
-
-def _refine_torus(f: ScalarField, i0: int) -> float:
-    mesh: TorusGrid = f.mesh  # type: ignore[assignment]
-    expr = f.expr
-    q0, p0 = mesh.points[i0]
-    hq, hp = 1.0 / mesh.n_q, 1.0 / mesh.n_p
-    q, p = q0, p0
-
-    def val(qv, pv):
-        return abs(expr.evaluate({"q": qv % 1.0, "p": pv % 1.0}))
-
-    for _ in range(4):
-        q = _golden_max(lambda t: val(t, p), q - hq, q + hq)
-        p = _golden_max(lambda t: val(q, t), p - hp, p + hp)
-        hq /= 4.0
-        hp /= 4.0
-    return val(q, p)
-
-
-def _refine_sphere(f: ScalarField, i0: int) -> float:
-    mesh: SphereTri = f.mesh  # type: ignore[assignment]
-    expr = f.expr
-    v0 = mesh.points[i0]
-    seed = np.array([1.0, 0.0, 0.0]) if abs(v0[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(v0, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v0, e1)
-    indptr, indices = mesh.neighbor_csr()
-    nbrs = indices[indptr[i0]:indptr[i0 + 1]]
-    h = float(np.max(np.linalg.norm(mesh.points[nbrs] - v0, axis=1)))
-    u = np.zeros(2)
-
-    def val(u1, u2):
-        pt = v0 + u1 * e1 + u2 * e2
-        pt = pt / np.linalg.norm(pt)
-        return abs(expr.evaluate(dict(zip("xyz", pt))))
-
-    for _ in range(4):
-        u[0] = _golden_max(lambda t: val(t, u[1]), u[0] - h, u[0] + h)
-        u[1] = _golden_max(lambda t: val(u[0], t), u[1] - h, u[1] + h)
-        h /= 4.0
-    return val(u[0], u[1])
-
-
-def uniform_norm(f: ScalarField, refine: bool = False) -> float:
-    """Max of |values| over mesh points, optionally refined off-mesh.
-
-    Refinement runs a local golden-section search in the cell around the
-    arg-max vertex and requires the field to carry an expression; it can
-    only increase the mesh-max value.
-    """
-    base = float(np.max(np.abs(f.values)))
-    if not refine or f.expr is None:
-        return base
-    i0 = int(np.argmax(np.abs(f.values)))
-    refined = _refine_torus(f, i0) if f.mesh.kind == "torus" else _refine_sphere(f, i0)
-    return max(base, refined)
-
-
-def distance_d(pair_a: tuple[ScalarField, ScalarField], pair_b: tuple[ScalarField, ScalarField]) -> float:
-    """Pair distance: ||F-F'|| + ||G-G'|| in the mesh-max uniform norm."""
-    fa, ga = pair_a
-    fb, gb = pair_b
-    return uniform_norm(fa - fb) + uniform_norm(ga - gb)
+def uniform_norm(f: ScalarField) -> float:
+    """Max of |values| over mesh points."""
+    return float(np.max(np.abs(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,27 +421,3 @@ def interpolate(f: ScalarField, points: np.ndarray) -> np.ndarray:
     if np.ndim(points) == 1:
         return float(out[0])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Export helpers
-# ---------------------------------------------------------------------------
-
-
-def mesh_to_off(mesh: SphereTri) -> str:
-    """OFF text for a triangulated sphere mesh."""
-    if mesh.kind != "sphere":
-        raise MeshMismatchError("OFF export is only defined for triangle meshes")
-    lines = ["OFF", f"{mesh.n_points} {mesh.n_triangles} 0"]
-    lines += [" ".join(repr(c) for c in row) for row in mesh.points]
-    lines += ["3 " + " ".join(str(i) for i in row) for row in mesh.triangles]
-    return "\n".join(lines) + "\n"
-
-
-def mesh_to_csv(mesh: Mesh) -> str:
-    """CSV of point coordinates and weights."""
-    header = ",".join(mesh.coord_names) + ",weight"
-    rows = [header]
-    for pt, w in zip(mesh.points, mesh.weights):
-        rows.append(",".join(repr(c) for c in pt) + f",{w!r}")
-    return "\n".join(rows) + "\n"

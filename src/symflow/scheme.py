@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bracket import OutOfRangeError
 from .manifold import ScalarField
 
 __all__ = [
@@ -38,10 +39,6 @@ __all__ = [
 MAX_ORDER = 8
 
 DEFAULT_T_GRID = tuple(0.4 * 2.0**-k for k in range(7))
-
-
-class OutOfRangeError(ValueError):
-    """Requested order outside the supported range [2, 8]."""
 
 
 class OddOrderError(ValueError):

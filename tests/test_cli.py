@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_config_rejects_bad_values():
         ExperimentConfig(n_max=1).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(eps_grid=()).validate()
+
+
+def test_depth_beyond_the_bracket_range_fails_up_front(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the depth check"))
+    assert run(["qn", "--n", "9", "--level", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_max must be in [2, 8], got 9")
+    assert "OutOfRangeError" not in err
 
 
 def test_config_hash_tracks_content():
@@ -296,12 +305,24 @@ def test_l1_meta_carries_the_caveat(small_cfg):
     assert "not a verified bound" in table.meta["caveat"]
 
 
+def test_dn_constants_are_the_inequality_family_maxima(small_cfg):
+    c_rows = [r for r in inequality_sweep(small_cfg).rows if r[0] == "c_n"]
+    assert cli.dn_sweep(small_cfg).meta["c_n_emp"] == {r[2]: r[5] for r in c_rows}
+
+
+def test_l1_rows_are_the_inequality_pair_rows_in_l1(small_cfg):
+    ineq = inequality_sweep(replace(small_cfg, norm="l1"))
+    assert l1_sweep(small_cfg).rows == [r for r in ineq.rows if r[0] == "pair"]
+
+
 def test_sweeps_reject_torus_configs():
     cfg = ExperimentConfig(manifold="torus", f="sin(2*pi*q)", g="sin(2*pi*p)")
     with pytest.raises(ConfigError):
         inequality_sweep(cfg)
     with pytest.raises(ConfigError):
         cli.dn_sweep(cfg)
+    with pytest.raises(ConfigError):
+        l1_sweep(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from symflow import bracket
 from symflow.flow import exact_flow
 from symflow.manifold import ScalarField, build_torus, sample
 from symflow.scheme import (
@@ -85,6 +86,9 @@ def test_yoshida_guards():
         yoshida(10)
     with pytest.raises(OutOfRangeError):
         yoshida(4.0)
+    # one error class: the bracket layer's name catches scheme range errors too
+    with pytest.raises(bracket.OutOfRangeError):
+        yoshida(10)
 
 
 def test_coefficient_sum_guard():
