@@ -109,6 +109,10 @@ class ExperimentConfig:
         for name in ("t_grid", "e_grid", "eps_grid", "amplitudes"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
+        for name in ("t_grid", "eps_grid"):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
+                    raise ConfigError(f"{name} entries must be positive numbers, got {value!r}")
         if self.family_size < 0:
             raise ConfigError("family_size must be nonnegative")
 

@@ -26,14 +26,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson, q_norm
+from .bracket import _multi_indices, _sphere_gradients, _torus_partials
 from .expr import compile_evaluator
 from .manifold import Mesh, ScalarField, interpolate, l1_norm, uniform_norm
-from .scheme import SplittingScheme
+from .scheme import DEFAULT_T_GRID, SplittingScheme
 
 __all__ = [
     "NotRecognizedError",
@@ -85,9 +87,6 @@ class _Identity:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts
 
-    def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        return np.eye(pts.shape[1])
-
     def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
         return np.eye(pts.shape[1])
 
@@ -108,9 +107,6 @@ class _Rotation:
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.matrix.T
-
-    def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        return self.matrix
 
     def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
         return self.matrix.T
@@ -144,21 +140,14 @@ class _Shear:
             out[:, 0] = (out[:, 0] + self.t * rate) % 1.0
         return out
 
-    def _jac(self, pts: np.ndarray, sign: float) -> np.ndarray:
-        n = pts.shape[0]
-        jac = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
+        jac = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
         curv = self.curv_fn(pts[:, 0], pts[:, 1])
         if self.axis == "q":
-            jac[:, 1, 0] = -sign * self.t * curv
+            jac[:, 1, 0] = self.t * curv
         else:
-            jac[:, 0, 1] = sign * self.t * curv
+            jac[:, 0, 1] = -self.t * curv
         return jac
-
-    def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        return self._jac(pts, 1.0)
-
-    def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
-        return self._jac(pts, -1.0)
 
     def inverse(self) -> "_Shear":
         return _Shear(self.axis, self.rate_fn, self.curv_fn, -self.t)
@@ -170,7 +159,6 @@ class FlowMap:
 
     steps: list
     mesh_kind: str
-    error_estimate: float = 0.0
     label: str = ""
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -182,12 +170,7 @@ class FlowMap:
         return pts
 
     def inverse(self) -> "FlowMap":
-        return FlowMap(
-            [s.inverse() for s in reversed(self.steps)],
-            self.mesh_kind,
-            self.error_estimate,
-            self.label + "^-1",
-        )
+        return FlowMap([s.inverse() for s in reversed(self.steps)], self.mesh_kind, self.label + "^-1")
 
 
 _PROBE_SEED = 2024
@@ -218,10 +201,6 @@ def point_distances(mesh_kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _REC_TOL = 1e-11
 
 
-def _recognition_probes(mesh_kind: str) -> np.ndarray:
-    return default_probes(mesh_kind, n=48, seed=97531)
-
-
 def _is_negligible(values: np.ndarray, scale: float) -> bool:
     return float(np.max(np.abs(values))) <= _REC_TOL * scale
 
@@ -244,7 +223,7 @@ def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
         if np.max(np.abs(h.values)) == 0.0:
             return "identity", lambda tau: _Identity()
         raise NotRecognizedError("exact flows need an expression-backed field")
-    probes = _recognition_probes(mesh.kind)
+    probes = default_probes(mesh.kind, n=48, seed=97531)
     if mesh.kind == "torus":
         dq = h.expr.diff("q")
         dp = h.expr.diff("p")
@@ -290,23 +269,30 @@ def exact_flow(h: ScalarField, t: float, direction: int = 1) -> FlowMap:
     return FlowMap([factory(t * direction)], h.mesh.kind, label=label)
 
 
+def _stages(scheme: SplittingScheme, f, g) -> list[tuple[float, object]]:
+    """The nonzero stages ``(coef, item)`` in the order alpha_1 F, beta_1 G, alpha_2 F, ...
+
+    ``f`` and ``g`` stand for the two generators: whatever a caller keeps
+    per generator (a field, a flow factory, compiled evaluators).
+    """
+    return [
+        (coef, item)
+        for alpha, beta in zip(scheme.alphas, scheme.betas)
+        for coef, item in ((alpha, f), (beta, g))
+        if coef != 0.0
+    ]
+
+
 def compose_scheme(scheme: SplittingScheme, f: ScalarField, g: ScalarField, t: float) -> FlowMap:
     """One full step of a splitting scheme, built from exact flows.
 
-    The returned map applies the coefficient pairs right to left, so the
-    ``beta_m`` stage acts first.  Zero-coefficient stages are skipped.
+    The returned map applies the stages right to left, so the last
+    nonzero stage acts first.  Zero-coefficient stages are skipped.
     With ``G = 0`` the result is the exact flow of ``F``.
     """
     _, f_factory = recognize_flow(f)
     _, g_factory = recognize_flow(g)
-    steps: list = []
-    for alpha, beta in zip(reversed(scheme.alphas), reversed(scheme.betas)):
-        if beta != 0.0:
-            steps.append(g_factory(beta * t))
-        if alpha != 0.0:
-            steps.append(f_factory(alpha * t))
-    if not steps:
-        steps = [_Identity()]
+    steps = [factory(coef * t) for coef, factory in reversed(_stages(scheme, f_factory, g_factory))]
     return FlowMap(steps, f.mesh.kind, label=f"{scheme.label}@{t!r}")
 
 
@@ -315,43 +301,37 @@ def compose_scheme(scheme: SplittingScheme, f: ScalarField, g: ScalarField, t: f
 # ---------------------------------------------------------------------------
 
 
+def _compiled(expr):
+    """Compiled evaluator of an expression at an array of points."""
+    fn = compile_evaluator(expr)
+    return lambda pts: fn(*pts.T)
+
+
 def _value_fn(field: ScalarField):
-    """Compiled point evaluator of an expression-backed field, cached on it."""
-    fn = field.__dict__.get("_compiled_value")
-    if fn is None:
-        compiled = compile_evaluator(field.expr)
-        fn = lambda pts: compiled(*pts.T)  # noqa: E731
-        field.__dict__["_compiled_value"] = fn
-    return fn
+    """Point evaluator of a field: compiled from its expression, else mesh interpolation."""
+    return _compiled(field.expr) if field.expr is not None else partial(interpolate, field)
 
 
 def _velocity_fn(field: ScalarField):
-    """Compiled Hamiltonian vector field of an expression-backed field."""
-    fn = field.__dict__.get("_compiled_velocity")
-    if fn is None:
-        grads = [compile_evaluator(field.expr.diff(v)) for v in field.mesh.coord_names]
-        if field.mesh.kind == "torus":
-            gq, gp = grads
+    """Hamiltonian vector field of a field, as a point evaluator.
 
-            def fn(pts):
-                q, p = pts[:, 0], pts[:, 1]
-                return np.column_stack([gp(q, p), -gq(q, p)])
-
+    Compiled from the expression's partials; a field without an expression
+    takes its mesh partials once (central differences on the torus,
+    least-squares gradients on the sphere) and interpolates them.
+    """
+    mesh = field.mesh
+    if field.expr is not None:
+        grads = [_compiled(field.expr.diff(v)) for v in mesh.coord_names]
+    else:
+        if mesh.kind == "torus":
+            partials = _torus_partials(mesh, field.values)
         else:
-            gx, gy, gz = grads
-
-            def fn(pts):
-                x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-                grad = np.column_stack([gx(x, y, z), gy(x, y, z), gz(x, y, z)])
-                return FOUR_PI * np.cross(grad, pts)
-
-        field.__dict__["_compiled_velocity"] = fn
-    return fn
-
-
-def _analytic_velocity(field: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Hamiltonian vector field of an expression-backed field."""
-    return _velocity_fn(field)(pts)
+            partials = _sphere_gradients(mesh, field.values).T
+        grads = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
+    if mesh.kind == "torus":
+        gq, gp = grads
+        return lambda pts: np.column_stack([gp(pts), -gq(pts)])
+    return lambda pts: FOUR_PI * np.cross(np.column_stack([d(pts) for d in grads]), pts)
 
 
 class StaticHamiltonian:
@@ -360,35 +340,14 @@ class StaticHamiltonian:
     def __init__(self, field: ScalarField):
         self.field = field
         self.mesh_kind = field.mesh.kind
-        self._partials: Optional[list[ScalarField]] = None
+        self._value = _value_fn(field)
+        self._velocity = _velocity_fn(field)
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
-        if self.field.expr is not None:
-            return _value_fn(self.field)(pts)
-        return interpolate(self.field, pts)
+        return self._value(pts)
 
     def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
-        if self.field.expr is not None:
-            return _velocity_fn(self.field)(pts)
-        return self._numeric_velocity(pts)
-
-    def _numeric_velocity(self, pts: np.ndarray) -> np.ndarray:
-        if self._partials is None:
-            from .bracket import _sphere_gradients, _torus_partials
-
-            mesh = self.field.mesh
-            if self.mesh_kind == "torus":
-                dq, dp = _torus_partials(mesh, self.field.values)
-                self._partials = [ScalarField(mesh, dq), ScalarField(mesh, dp)]
-            else:
-                grads = _sphere_gradients(mesh, self.field.values)
-                self._partials = [ScalarField(mesh, grads[:, i]) for i in range(3)]
-        if self.mesh_kind == "torus":
-            dq = interpolate(self._partials[0], pts)
-            dp = interpolate(self._partials[1], pts)
-            return np.column_stack([dp, -dq])
-        grad = np.column_stack([interpolate(p, pts) for p in self._partials])
-        return FOUR_PI * np.cross(grad, pts)
+        return self._velocity(pts)
 
 
 class LinearPathHamiltonian:
@@ -401,17 +360,18 @@ class LinearPathHamiltonian:
             raise SymbolicRequiredError("path terms must be expression-backed fields")
         self.terms = list(terms)
         self.mesh_kind = self.terms[0][1].mesh.kind
+        self._evaluators = [(coef_fn, _value_fn(fld), _velocity_fn(fld)) for coef_fn, fld in self.terms]
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
         total = np.zeros(pts.shape[0])
-        for coef_fn, fld in self.terms:
-            total += coef_fn(s) * _value_fn(fld)(pts)
+        for coef_fn, value, _ in self._evaluators:
+            total += coef_fn(s) * value(pts)
         return total
 
     def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
         total = np.zeros_like(pts)
-        for coef_fn, fld in self.terms:
-            total += coef_fn(s) * _velocity_fn(fld)(pts)
+        for coef_fn, _, velocity in self._evaluators:
+            total += coef_fn(s) * velocity(pts)
         return total
 
 
@@ -448,6 +408,50 @@ class ClosureHamiltonian:
         return FOUR_PI * np.cross(grad, pts)
 
 
+class _StageHamiltonian:
+    """One stage Hamiltonian: point evaluators built once, and its exact flow.
+
+    Fields without an expression are evaluated by mesh interpolation.
+    With ``velocity`` the vector field is compiled too and the exact flow
+    is recognised at once; otherwise it is recognised on first use, which
+    lets the last stage, after which the walk moves no point, be a field
+    without an exact flow.
+    """
+
+    def __init__(self, field: ScalarField, velocity: bool = False):
+        self.field = field
+        self.value = _value_fn(field)
+        self.velocity = _velocity_fn(field) if velocity else None
+        self._factory = recognize_flow(field)[1] if velocity else None
+
+    def flow(self, tau: float):
+        if self._factory is None:
+            self._factory = recognize_flow(self.field)[1]
+        return self._factory(tau)
+
+
+def _pullback_sum(stages: list[tuple[float, _StageHamiltonian]], pts: np.ndarray, s: float) -> np.ndarray:
+    """``sum_i c_i H_i(x_i)``, each stage pulled back by the earlier stages.
+
+    ``x_0 = pts`` and ``x_i`` is ``x_(i-1)`` moved by the inverse flow of
+    stage ``i - 1`` over ``c_(i-1) s``; no point moves after the last stage.
+    """
+    total = np.zeros(pts.shape[0])
+    current = pts
+    for i, (coef, h) in enumerate(stages):
+        if i and s != 0.0:
+            prev_coef, prev = stages[i - 1]
+            try:
+                step = prev.flow(-prev_coef * s)
+            except NotRecognizedError as err:
+                raise NotRecognizedError(
+                    f"stage {i - 1} has no exact flow; the generator sum needs one per stage"
+                ) from err
+            current = step.apply(current)
+        total += coef * h.value(current)
+    return total
+
+
 class CocycleGenerator:
     """Time-dependent Hamiltonian generating a splitting composition.
 
@@ -466,44 +470,27 @@ class CocycleGenerator:
         self.f = f
         self.g = g
         self.mesh_kind = f.mesh.kind
-        _, f_factory = recognize_flow(f)
-        _, g_factory = recognize_flow(g)
-        self.terms: list[tuple[float, ScalarField, Callable[[float], object]]] = []
-        for alpha, beta in zip(scheme.alphas, scheme.betas):
-            self.terms.append((alpha, f, f_factory))
-            self.terms.append((beta, g, g_factory))
+        self.stages = _stages(scheme, _StageHamiltonian(f, velocity=True), _StageHamiltonian(g, velocity=True))
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
-        total = np.zeros(pts.shape[0])
-        current = pts
-        last = len(self.terms) - 1
-        for idx, (coef, fld, factory) in enumerate(self.terms):
-            if coef == 0.0:
-                continue
-            total += coef * _value_fn(fld)(current)
-            if idx < last and s != 0.0:
-                current = factory(-coef * s).apply(current)
-        return total
+        return _pullback_sum(self.stages, pts, s)
 
     def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
         n, dim = pts.shape
         total = np.zeros((n, dim))
         current = pts
         inv_jac = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
-        last = len(self.terms) - 1
-        for idx, (coef, fld, factory) in enumerate(self.terms):
-            if coef == 0.0:
-                continue
-            vel = _analytic_velocity(fld, current)
-            total += coef * np.einsum("nij,nj->ni", inv_jac, vel)
-            if idx < last and s != 0.0:
-                step = factory(-coef * s)
+        for i, (coef, h) in enumerate(self.stages):
+            if i and s != 0.0:
+                prev_coef, prev = self.stages[i - 1]
+                step = prev.flow(-prev_coef * s)
                 jinv = step.jacobian_inverse(current)
                 if jinv.ndim == 2:
                     inv_jac = inv_jac @ jinv
                 else:
                     inv_jac = np.einsum("nij,njk->nik", inv_jac, jinv)
                 current = step.apply(current)
+            total += coef * np.einsum("nij,nj->ni", inv_jac, h.velocity(current))
         return total
 
 
@@ -650,32 +637,9 @@ def cocycle_hamiltonian(scheme: SplittingScheme, f: ScalarField, g: ScalarField,
     mesh = f.mesh
     if not mesh.same_as(g.mesh):
         raise ValueError("fields live on different meshes")
-    symbolic = f.expr is not None and g.expr is not None
-    terms: list[tuple[float, ScalarField]] = []
-    for alpha, beta in zip(scheme.alphas, scheme.betas):
-        terms.append((alpha, f))
-        terms.append((beta, g))
-    total = np.zeros(mesh.n_points)
-    current = mesh.points
-    interp_budget = 0.0
-    factories: dict[int, Callable[[float], object]] = {}
-    for idx, (coef, fld) in enumerate(terms):
-        if coef == 0.0:
-            continue
-        if fld.expr is not None:
-            total += coef * _value_fn(fld)(current)
-        else:
-            total += coef * interpolate(fld, current)
-            interp_budget += abs(coef) * _interp_error_scale(fld)
-        if idx < len(terms) - 1 and t != 0.0:
-            if id(fld) not in factories:
-                try:
-                    factories[id(fld)] = recognize_flow(fld)[1]
-                except NotRecognizedError as err:
-                    raise NotRecognizedError(
-                        f"stage {idx} has no exact flow; the generator sum needs one per stage"
-                    ) from err
-            current = factories[id(fld)](-coef * t).apply(current)
+    stages = _stages(scheme, _StageHamiltonian(f), _StageHamiltonian(g))
+    total = _pullback_sum(stages, mesh.points, t)
+    interp_budget = sum(abs(coef) * _interp_error_scale(h.field) for coef, h in stages if h.field.expr is None)
     if interp_budget > 0.0:
         scale = float(np.max(np.abs(total)))
         if interp_budget > 0.01 * max(scale, 1e-30):
@@ -732,8 +696,6 @@ def remainder_ratio_sweep(
     DegenerateInputError
         When the bracket-size functional vanishes (commuting pair).
     """
-    from .scheme import DEFAULT_T_GRID
-
     if t_list is None:
         t_list = DEFAULT_T_GRID
     generation = scheme.nominal_order + 1
@@ -789,35 +751,20 @@ def composition_expansion(
         raise OutOfRangeError(f"order cap must be in [2, 6], got {order_cap}")
     if a.expr is None or any(h.expr is None for h in hs):
         raise SymbolicRequiredError("the expansion needs expression-backed fields")
-    memo: dict[tuple[int, ...], ScalarField] = {(0,) * n: a}
-
-    def field_for(powers: tuple[int, ...]) -> ScalarField:
-        if powers in memo:
-            return memo[powers]
-        j = max(k for k in range(n) if powers[k] > 0)
-        prev = list(powers)
-        prev[j] -= 1
-        parent = field_for(tuple(prev))
-        result = poisson(parent, hs[j])
-        memo[powers] = result
-        return result
-
-    def multi_indices(total_max: int):
-        def rec(prefix, remaining_slots, budget):
-            if remaining_slots == 0:
-                yield tuple(prefix)
-                return
-            for i in range(budget + 1):
-                yield from rec(prefix + [i], remaining_slots - 1, budget - i)
-
-        yield from rec([], n, total_max)
-
+    # by degree, so each field's parent (one bracket fewer, with the last
+    # Hamiltonian it applies) is already there
+    fields: dict[tuple[int, ...], ScalarField] = {}
     terms = []
-    for powers in sorted(multi_indices(order_cap - 1), key=lambda p: (sum(p), p)):
+    for powers in sorted(_multi_indices(n, order_cap - 1), key=lambda p: (sum(p), p)):
+        if any(powers):
+            j = max(k for k in range(n) if powers[k] > 0)
+            fields[powers] = poisson(fields[powers[:j] + (powers[j] - 1,) + powers[j + 1:]], hs[j])
+        else:
+            fields[powers] = a
         coef = 1.0
         for i in powers:
             coef /= math.factorial(i)
-        terms.append(ExpansionTerm(powers, coef, sum(powers), field_for(powers)))
+        terms.append(ExpansionTerm(powers, coef, sum(powers), fields[powers]))
     return terms
 
 
@@ -872,8 +819,6 @@ def flow_equivalence_order(
     ``t**(N-1)`` the maps differ at order ``t**N``, so the fitted gap
     should be 1.
     """
-    from .scheme import DEFAULT_T_GRID
-
     if t_list is None:
         t_list = DEFAULT_T_GRID
     u = _coerce_hamiltonian(u)

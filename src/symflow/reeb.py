@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field as _field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -559,8 +559,17 @@ def _deposit_mass(mesh, vals, rank, nodes, node_vals, e_lower, e_upper,
 _EPS_TIE = 1e-12
 
 
-def _subtree_masses(g: ReebGraph) -> tuple[np.ndarray, list[int]]:
-    """Mass of each node's closed subtree when the tree is rooted at node 0."""
+class _RootedTree(NamedTuple):
+    """A level-set tree rooted at node 0, per node: the mass of its closed
+    subtree, its parent node and the edge to its parent (-1 at the root)."""
+
+    sub: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+
+
+def _subtree_masses(g: ReebGraph) -> _RootedTree:
+    """Root the tree at node 0 and sum each node's closed subtree mass."""
     n = g.n_nodes
     parent = np.full(n, -1, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)
@@ -579,16 +588,14 @@ def _subtree_masses(g: ReebGraph) -> tuple[np.ndarray, list[int]]:
         p = parent[w]
         if p >= 0:
             sub[p] += sub[w] + g.edges[parent_edge[w]].mass
-    g._parent = parent          # cached for the walk
-    g._parent_edge = parent_edge
-    return sub, bfs
+    return _RootedTree(sub, parent, parent_edge)
 
 
-def _beyond(g: ReebGraph, sub: np.ndarray, u: int, eid: int, w: int) -> float:
+def _beyond(g: ReebGraph, rooted: _RootedTree, u: int, eid: int, w: int) -> float:
     """Total mass strictly on the far side of node ``u`` through edge ``eid``."""
-    if g._parent[w] == u and g._parent_edge[w] == eid:
-        return float(sub[w] + g.edges[eid].mass)
-    return float(1.0 - sub[u])
+    if rooted.parent[w] == u and rooted.parent_edge[w] == eid:
+        return float(rooted.sub[w] + g.edges[eid].mass)
+    return float(1.0 - rooted.sub[u])
 
 
 def _solve_edge(e: ReebEdge, target: float) -> tuple[float, bool]:
@@ -623,17 +630,17 @@ def median(g: ReebGraph) -> MedianPoint:
     """
     if g.constant or g.n_nodes == 1:
         return MedianPoint(value=g.nodes[0].value, node=0)
-    sub, _ = _subtree_masses(g)
+    rooted = _subtree_masses(g)
     cur = 0
     for _ in range(g.n_nodes + 1):
         over = None
         for eid, w in g.neighbors(cur):
-            m = _beyond(g, sub, cur, eid, w)
+            m = _beyond(g, rooted, cur, eid, w)
             if m > 0.5 + _EPS_TIE:
                 over = (eid, w, m)
                 break
         if over is None:
-            admissible = _tied_nodes(g, sub, cur)
+            admissible = _tied_nodes(g, rooted, cur)
             best = min(admissible)
             return MedianPoint(
                 value=g.nodes[best].value, node=best, multi=len(admissible) > 1
@@ -647,12 +654,12 @@ def median(g: ReebGraph) -> MedianPoint:
         t = 0.5 - s_cur
         target = t if edge.lower == cur else edge.mass - t
         value, multi = _solve_edge(edge, target)
-        _check_complements_at(g, sub, edge, value)
+        _check_complements_at(g, rooted, edge, value)
         return MedianPoint(value=value, edge=eid, multi=multi)
     raise InvariantViolationError("median walk did not terminate")
 
 
-def _tied_nodes(g: ReebGraph, sub: np.ndarray, start: int) -> set[int]:
+def _tied_nodes(g: ReebGraph, rooted: _RootedTree, start: int) -> set[int]:
     """Admissible nodes reachable from ``start`` through zero-mass edges."""
     tied = {start}
     frontier = [start]
@@ -662,7 +669,7 @@ def _tied_nodes(g: ReebGraph, sub: np.ndarray, start: int) -> set[int]:
             if w in tied or g.edges[eid].mass > _EPS_TIE:
                 continue
             if all(
-                _beyond(g, sub, w, e2, o2) <= 0.5 + _EPS_TIE
+                _beyond(g, rooted, w, e2, o2) <= 0.5 + _EPS_TIE
                 for e2, o2 in g.neighbors(w)
             ):
                 tied.add(w)
@@ -670,14 +677,14 @@ def _tied_nodes(g: ReebGraph, sub: np.ndarray, start: int) -> set[int]:
     return tied
 
 
-def _check_complements_at(g: ReebGraph, sub: np.ndarray, edge: ReebEdge, value: float) -> None:
+def _check_complements_at(g: ReebGraph, rooted: _RootedTree, edge: ReebEdge, value: float) -> None:
     """Verify both sides of an interior median carry at most half the mass.
 
     An atom exactly at the median point belongs to neither side, hence the
     left/right cumulative split at coincident knots.
     """
-    lo_side = 1.0 - _beyond(g, sub, edge.lower, edge.id, edge.upper)
-    hi_side = 1.0 - _beyond(g, sub, edge.upper, edge.id, edge.lower)
+    lo_side = 1.0 - _beyond(g, rooted, edge.lower, edge.id, edge.upper)
+    hi_side = 1.0 - _beyond(g, rooted, edge.upper, edge.id, edge.lower)
     k = edge.knots
     j = int(np.searchsorted(k, value, side="left"))
     j = min(j, k.size - 1)

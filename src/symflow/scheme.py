@@ -38,7 +38,7 @@ __all__ = [
 
 MAX_ORDER = 8
 
-DEFAULT_T_GRID = tuple(0.4 * 2.0**-k for k in range(7))
+DEFAULT_T_GRID = tuple(0.05 * 2.0**-k for k in range(7))
 
 
 class OddOrderError(ValueError):

@@ -46,6 +46,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig(n_max=1).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(eps_grid=()).validate()
+    with pytest.raises(ConfigError, match="t_grid"):
+        ExperimentConfig(t_grid=(True, 0.05)).validate()
 
 
 def test_depth_beyond_the_bracket_range_fails_up_front(capsys, monkeypatch):
@@ -54,6 +56,21 @@ def test_depth_beyond_the_bracket_range_fails_up_front(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: n_max must be in [2, 8], got 9")
     assert "OutOfRangeError" not in err
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    [
+        ("dn", dict(SMALL, eps_grid=[0.1, -0.01])),
+        ("flow-order", dict(manifold="torus", torus_n=16, f="0.3*sin(2*pi*q)", g="0.2*cos(2*pi*p)",
+                            t_grid=[0.1, 0.05, 0.0, -0.02])),
+    ],
+)
+def test_nonpositive_grid_entries_fail_up_front(command, spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the grid check"))
+    assert run([command, "--spec", write_spec(tmp_path, **spec)]) == 1
+    key, bad = ("eps_grid", "-0.01") if command == "dn" else ("t_grid", "0.0")
+    assert capsys.readouterr().err == f"error: {key} entries must be positive numbers, got {bad}\n"
 
 
 def test_config_hash_tracks_content():
@@ -371,6 +388,20 @@ def test_remainder_reports_exponent(tmp_path, capsys):
     )
     assert run(["remainder", "--spec", spec, "--order", "2"]) == 0
     assert "exponent" in capsys.readouterr().out
+
+
+def test_default_grid_fits_the_nominal_orders(tmp_path):
+    """Without ``t_grid`` the fits stay in the asymptotic regime."""
+    spec = write_spec(tmp_path, manifold="torus", f="0.3*sin(2*pi*q)", g="0.2*cos(2*pi*p)",
+                      out=str(tmp_path / "run"))
+    assert run(["flow-order", "--spec", spec, "--order", "4"]) == 0
+    fit = json.loads((tmp_path / "run.json").read_text())["fit"]
+    assert fit["status"] == "ok"
+    assert fit["slope"] == pytest.approx(5.0, abs=0.2)
+    assert run(["remainder", "--spec", spec, "--order", "4"]) == 0
+    summary = (tmp_path / "run.csv").read_text().splitlines()[-1].split(",")
+    assert summary[0] == "summary"
+    assert float(summary[6]) >= 3.8
 
 
 def test_remainder_rejects_order_beyond_the_bracket_range(tmp_path, capsys, monkeypatch):

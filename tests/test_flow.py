@@ -1,5 +1,6 @@
 """Exact flows, reference integration, composition generators, expansions."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from symflow.flow import (
     remainder_ratio_sweep,
 )
 from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
-from symflow.scheme import lie_trotter, strang, yoshida
+from symflow.scheme import SplittingScheme, lie_trotter, strang, yoshida
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +276,32 @@ def test_generator_flow_reproduces_composition(mesh_name, scheme_fn, torus_pair,
     direct = compose_scheme(scheme, f, g, t).apply(pts)
     gap = np.max(point_distances(f.mesh.kind, ref.apply(pts), direct))
     assert gap < max(1e-9, 20 * ref.error_estimate)
+
+
+def test_fields_stay_picklable_after_a_generator_flow(torus_pair):
+    f, g = torus_pair
+    pts = default_probes("torus", 8, seed=16)
+    reference_flow(CocycleGenerator(strang(), f, g), 0.1, tol=1e-8, probes=pts)
+    for fld in (f, g):
+        back = pickle.loads(pickle.dumps(fld))
+        assert np.array_equal(back.values, fld.values)
+        assert str(back.expr) == str(fld.expr)
+
+
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere"])
+def test_interior_zero_stages_are_skipped(mesh_name, torus_pair, sphere_pair):
+    """Zero coefficients inside a scheme change nothing: this one is Strang."""
+    f, g = torus_pair if mesh_name == "torus" else sphere_pair
+    padded = SplittingScheme((0.5, 0.0, 0.5), (0.0, 1.0, 0.0), 2, "padded-strang")
+    pts = default_probes(f.mesh.kind, 30, seed=17)
+    t = 0.23
+    assert np.array_equal(compose_scheme(padded, f, g, t).apply(pts), compose_scheme(strang(), f, g, t).apply(pts))
+    gen, ref = CocycleGenerator(padded, f, g), CocycleGenerator(strang(), f, g)
+    assert np.array_equal(gen.value(pts, t), ref.value(pts, t))
+    assert np.array_equal(gen.velocity(pts, t), ref.velocity(pts, t))
+    assert np.array_equal(
+        cocycle_hamiltonian(padded, f, g, t).values, cocycle_hamiltonian(strang(), f, g, t).values
+    )
 
 
 def test_generator_interpolation_warning(torus_pair):

@@ -250,6 +250,14 @@ def test_star_median_sits_at_the_hub():
     assert m.node == 0
 
 
+def test_median_leaves_only_declared_fields_on_the_graph(sphere4):
+    g = build_reeb(sample(sphere4, "x*y + 0.3*z"))
+    before = g.to_json()
+    median(g)
+    assert set(vars(g)) <= set(ReebGraph.__dataclass_fields__)
+    assert g.to_json() == before
+
+
 def test_invariant_violation_is_detected():
     nodes = [ReebNode(0, 0, 0.0, atom=0.4)]
     g = ReebGraph(nodes=nodes, edges=[], level=0)
