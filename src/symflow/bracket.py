@@ -11,17 +11,17 @@ Conventions (fixed once, validated by the flow-consistency tests):
 Both satisfy ``d/dt (A o phi_H^t) = {A, H} o phi_H^t`` for the
 Hamiltonian flow ``phi_H^t`` used in :mod:`symflow.flow`.
 
-Iterated brackets are encoded as words over the letters ``F``/``G``
-appended to the core bracket ``{F, G}``: the word ``(w_1, ..., w_k)``
-denotes the left-nested monomial ``{...{{F, G}, w_1}, ..., w_k}``.  The
-generation with k appended letters has ``2**k`` members.
+Iterated brackets are words: for a root A and named Hamiltonians, the word
+``(w_1, ..., w_k)`` is ``{...{{A, H_w1}, H_w2}, ..., H_wk}``.  A pair's
+monomials have root F and letters ``F``/``G`` after the core bracket
+``{F, G}``, whose generation with k appended letters has ``2**k`` members.
 
-:class:`BracketTable` computes the monomials of a pair as a trie of words,
-each word once from its parent.  For expression-backed fields it never
-builds a monomial expression: every word is a jet, the truncated Taylor
-coefficients ``d^alpha A / alpha!`` at each mesh point, taken from the exact
-symbolic derivatives of F and G; a bracket ``sum_ij Pi_ij d_i A d_j H`` is a
-truncated product of jets that drops the order by one (Griewank & Walther,
+:class:`BracketTable`, the one bracket engine, computes the words as a trie,
+each once from its parent.  For expression-backed fields it never builds a
+bracket expression: every word is a jet, the truncated Taylor coefficients
+``d^alpha A / alpha!`` at each mesh point, taken from the exact symbolic
+derivatives of each distinct field; a bracket ``sum_ij Pi_ij d_i A d_j H`` is
+a truncated product of jets that drops the order by one (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 """
 
@@ -35,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expression, Var
-from .manifold import (
-    MeshMismatchError,
-    ScalarField,
-    SphereTri,
-    TorusGrid,
-    l1_norm,
-    uniform_norm,
-)
+from .manifold import NORMS, MeshMismatchError, ScalarField, SphereTri, TorusGrid
 
 __all__ = [
     "OutOfRangeError",
@@ -279,44 +272,56 @@ def _measure(generation: int, norm: str, top: int):
         raise OutOfRangeError(f"generation must be in [2, {top}], got {generation}")
     if norm not in ("uniform", "l1"):
         raise OutOfRangeError(f"norm must be 'uniform' or 'l1', got {norm!r}")
-    return uniform_norm if norm == "uniform" else l1_norm
+    return NORMS[norm]
 
 
 class BracketTable:
-    """The left-nested monomials of a pair with up to ``depth`` brackets.
+    """Left-nested brackets of a root A with up to ``depth`` letters.
 
     Words form a trie built on demand: the word ``w + (letter,)`` is the
-    bracket of the word ``w`` with F or G, so each word is computed once.
-    For expression-backed pairs every word is a jet of order
-    ``depth - 1 - len(w)`` (a bracket drops the order by one), starting from
-    jets of F and G built on their exact symbolic derivatives; both children
-    of a word share its gradient.  Other pairs use the finite-difference
+    bracket of the word ``w`` with that letter's Hamiltonian, so each word is
+    computed once.  For expression-backed fields every word is a jet of order
+    ``depth - len(w)``, starting from one jet per distinct field; all children
+    of a word share its gradient.  Other fields use the finite-difference
     :func:`poisson`, which refuses four or more brackets unless
-    ``allow_numeric`` is set.
+    ``allow_numeric`` is set.  ``BracketTable(f, g, depth)`` has root F and
+    letters F and G, and reads every word behind the letter G (the core
+    bracket ``{F, G}``), as :meth:`q_norm` and :meth:`khl_ratio` expect;
+    :meth:`rooted` builds any other table.
     """
 
     def __init__(self, f: ScalarField, g: ScalarField, depth: int, allow_numeric: bool = False):
-        if not f.mesh.same_as(g.mesh):
+        self.f, self.g = f, g
+        self._plant(f, {"F": f, "G": g}, ("G",), depth, allow_numeric)
+
+    @classmethod
+    def rooted(cls, root: ScalarField, letters: dict, depth: int) -> "BracketTable":
+        """The table of ``root`` bracketed by ``letters`` (name to field), up to ``depth`` letters."""
+        table = cls.__new__(cls)
+        table._plant(root, dict(letters), (), depth, False)
+        return table
+
+    def _plant(self, root, letters, prefix, depth, allow_numeric) -> None:
+        if not all(root.mesh.same_as(h.mesh) for h in letters.values()):
             raise MeshMismatchError("fields live on different meshes")
         if not 1 <= depth <= MAX_GENERATION:
             raise OutOfRangeError(f"depth must be in [1, {MAX_GENERATION}], got {depth}")
-        symbolic = f.expr is not None and g.expr is not None
+        symbolic = root.expr is not None and all(h.expr is not None for h in letters.values())
         if depth >= 4 and not symbolic and not allow_numeric:
             raise SymbolicRequiredError(
                 f"monomials with {depth} brackets need expression-backed fields; "
                 "numeric differentiation is too lossy (pass allow_numeric=True to override)"
             )
-        self.f, self.g, self.depth = f, g, depth
-        self.mesh = f.mesh
-        self._fields: dict[tuple[str, ...], ScalarField] = {}
-        self._jets: dict[tuple[str, ...], np.ndarray] | None = None
+        self.depth, self.mesh = depth, root.mesh
+        self._letters, self._prefix = letters, prefix
+        self._fields: dict[tuple, ScalarField] = {(): root}
+        self._jets: dict[tuple, np.ndarray] | None = {} if symbolic else None
         if symbolic:
             self._dim = len(self.mesh.coord_names)
-            grad_f = self._gradient(_taylor_jet(f.expr, self.mesh, depth), depth)
-            grad_g = self._gradient(_taylor_jet(g.expr, self.mesh, depth), depth)
-            self._vectors = {"F": self._hamiltonian_vector(grad_f), "G": self._hamiltonian_vector(grad_g)}
-            self._gradients: dict[tuple[str, ...], list[np.ndarray]] = {}
-            self._jets = {(): self._bracket(grad_f, "G", depth - 1)}
+            distinct = {id(h): h.expr for h in (root, *letters.values())}
+            grads = {k: self._gradient(_taylor_jet(e, self.mesh, depth), depth) for k, e in distinct.items()}
+            self._vectors = {name: self._hamiltonian_vector(grads[id(h)]) for name, h in letters.items()}
+            self._gradients: dict[tuple, list[np.ndarray]] = {(): grads[id(root)]}
 
     def _gradient(self, jet: np.ndarray, order: int) -> list[np.ndarray]:
         return [_jet_partial(jet, i, self._dim, order) for i in range(self._dim)]
@@ -337,35 +342,36 @@ class BracketTable:
             for j in range(3)
         ]
 
-    def _bracket(self, grad: list[np.ndarray], letter: str, order: int) -> np.ndarray:
+    def _bracket(self, grad: list[np.ndarray], letter, order: int) -> np.ndarray:
         return sum(_jet_product(a, v, self._dim, order) for a, v in zip(grad, self._vectors[letter]))
 
-    def _jet(self, word: tuple[str, ...]) -> np.ndarray:
+    def _jet(self, word: tuple) -> np.ndarray:
         jet = self._jets.get(word)
         if jet is None:
             parent = word[:-1]
-            order = self.depth - 1 - len(word)
+            order = self.depth - len(word)
             grad = self._gradients.get(parent)
             if grad is None:
                 grad = self._gradients[parent] = self._gradient(self._jet(parent), order + 1)
             jet = self._jets[word] = self._bracket(grad, word[-1], order)
         return jet
 
-    def field(self, word: tuple[str, ...]) -> ScalarField:
-        """The monomial ``{...{{F, G}, w_1}, ..., w_k}`` on the mesh."""
-        word = tuple(word)
-        if len(word) >= self.depth:
-            raise OutOfRangeError(f"word {word} needs more than the table's {self.depth} brackets")
+    def _field(self, word: tuple) -> ScalarField:
         field = self._fields.get(word)
         if field is None:
             if self._jets is not None:
                 field = ScalarField(self.mesh, self._jet(word)[0].copy())
-            elif word:
-                field = poisson(self.field(word[:-1]), self.f if word[-1] == "F" else self.g)
             else:
-                field = poisson(self.f, self.g)
+                field = poisson(self._field(word[:-1]), self._letters[word[-1]])
             self._fields[word] = field
         return field
+
+    def field(self, word: tuple) -> ScalarField:
+        """The bracket of ``word`` on the mesh; for a pair ``{...{{F, G}, w_1}, ..., w_k}``."""
+        word = tuple(word)
+        if len(self._prefix) + len(word) > self.depth:
+            raise OutOfRangeError(f"word {word} needs more than the table's {self.depth} brackets")
+        return self._field(self._prefix + word)
 
     def q_norm(self, generation: int, norm: str = "uniform") -> float:
         """Sum, in lexicographic word order, of the norms of the monomials with
@@ -376,7 +382,7 @@ class BracketTable:
     def khl_ratio(self, generation: int, norm: str = "uniform") -> float:
         """See :func:`khl_ratio`."""
         qn = self.q_norm(generation, norm)
-        measure = uniform_norm if norm == "uniform" else l1_norm
+        measure = NORMS[norm]
         num = measure(self.field(()))
         small = min(measure(self.f), measure(self.g))
         exponent = (generation - 2) / (generation - 1)

@@ -36,13 +36,14 @@ from .bracket import (
     poisson,
 )
 from .expr import ExprSyntaxError
-from .manifold import ScalarField, build_sphere, build_torus, l1_norm, sample, uniform_norm
+from .manifold import NORMS, ScalarField, build_sphere, build_torus, sample
 from .reeb import InvariantViolationError, build_reeb, median, pi_defect, tau
 from .scheme import DEFAULT_T_GRID, lie_trotter, strang, validate_order, yoshida
 from .flow import (
     composition_expansion,
     expansion_lhs,
     expansion_partial_sum,
+    recognize_flow,
     remainder_ratio_sweep,
 )
 
@@ -104,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError(f"manifold must be 'sphere' or 'torus', got {self.manifold!r}")
         if self.norm not in ("uniform", "l1"):
             raise ConfigError(f"norm must be 'uniform' or 'l1', got {self.norm!r}")
+        if self.manifold == "sphere" and self.level < 3:
+            raise ConfigError(f"sphere level must be at least 3, got {self.level}")
+        if self.manifold == "torus" and self.torus_n < 8:
+            raise ConfigError(f"torus_n must be at least 8, got {self.torus_n}")
         if not 2 <= self.n_max <= MAX_GENERATION:
             raise ConfigError(f"n_max must be in [2, {MAX_GENERATION}], got {self.n_max}")
         for name in ("t_grid", "e_grid", "eps_grid", "amplitudes"):
@@ -115,6 +120,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} entries must be positive numbers, got {value!r}")
         if self.family_size < 0:
             raise ConfigError("family_size must be nonnegative")
+        if self.workers < 0:
+            raise ConfigError("workers must be nonnegative")
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -275,10 +282,6 @@ def _pair_family(cfg: ExperimentConfig, mesh) -> list[tuple[str, ScalarField, Sc
     return pairs
 
 
-def _measure(norm: str):
-    return uniform_norm if norm == "uniform" else l1_norm
-
-
 _DEGENERATE_QN = 1e-9
 
 
@@ -349,7 +352,7 @@ def inequality_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _normalized(f: ScalarField, norm: str) -> ScalarField:
-    size = _measure(norm)(f)
+    size = NORMS[norm](f)
     if size == 0.0:
         raise DegenerateInputError("cannot normalize the zero field")
     return f * (1.0 / size)
@@ -357,9 +360,8 @@ def _normalized(f: ScalarField, norm: str) -> ScalarField:
 
 def _monomial_profile(table: BracketTable, n: int, norm: str):
     """Per-monomial norms at depth n, tagged with their degree in the second field."""
-    measure = _measure(norm)
     return [
-        (m.degree_in_g, measure(table.field(m.word)))
+        (m.degree_in_g, NORMS[norm](table.field(m.word)))
         for m in enumerate_monomials(n - 1)
     ]
 
@@ -526,7 +528,7 @@ def _cmd_bracket(cfg: ExperimentConfig):
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)
-    value = _measure(cfg.norm)(poisson(f, g))
+    value = NORMS[cfg.norm](poisson(f, g))
     table = ResultTable(
         ("op", "norm", "value"),
         [("bracket", cfg.norm, value)],
@@ -620,11 +622,15 @@ def _cmd_remainder(cfg: ExperimentConfig):
 
 
 def _cmd_expansion(cfg: ExperimentConfig):
+    cap = cfg.order
+    if not 2 <= cap <= 6:
+        raise ConfigError(f"expansion order must be in [2, 6], got {cap}")
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)
+    for h in (f, g):
+        recognize_flow(h)
     a = sample(mesh, cfg.a) if cfg.a else f
-    cap = min(max(cfg.order, 2), 6)
     terms = composition_expansion(a, [f, g], cap)
     rows = [
         ("term", ",".join(str(p) for p in t.powers), t.coefficient, t.t_power,
@@ -646,6 +652,7 @@ def _cmd_expansion(cfg: ExperimentConfig):
 
 def _cmd_extremal_demo(cfg: ExperimentConfig):
     cfg = replace(cfg, f="1 - 2*x^2", g="1 - 2*y^2", manifold="sphere")
+    cfg.validate()
     mesh = cfg.mesh()
     d = pi_defect(sample(mesh, cfg.f), sample(mesh, cfg.g))
     lines = [

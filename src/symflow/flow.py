@@ -31,10 +31,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson, q_norm
+from .bracket import FOUR_PI, BracketTable, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
 from .expr import compile_evaluator
-from .manifold import Mesh, ScalarField, interpolate, l1_norm, uniform_norm
+from .manifold import NORMS, Mesh, ScalarField, interpolate
 from .scheme import DEFAULT_T_GRID, SplittingScheme
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "point_distances",
     "StaticHamiltonian",
     "LinearPathHamiltonian",
-    "ClosureHamiltonian",
     "CocycleGenerator",
     "cocycle_hamiltonian",
     "remainder_norm",
@@ -375,39 +374,6 @@ class LinearPathHamiltonian:
         return total
 
 
-class ClosureHamiltonian:
-    """Generic time-dependent Hamiltonian given only as ``fun(points, s)``.
-
-    The vector field is obtained from fourth-order central differences
-    of the closure, so accuracy bottoms out around ``fd_step**4``.
-    """
-
-    def __init__(self, fun: Callable[[np.ndarray, float], np.ndarray], mesh_kind: str, fd_step: float = 3e-4):
-        self.fun = fun
-        self.mesh_kind = mesh_kind
-        self.fd_step = fd_step
-
-    def value(self, pts: np.ndarray, s: float) -> np.ndarray:
-        return self.fun(pts, s)
-
-    def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
-        n, dim = pts.shape
-        h = self.fd_step
-        offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-        stack = np.repeat(pts[None, :, :], 4 * dim, axis=0)
-        for axis in range(dim):
-            for j, off in enumerate(offsets):
-                stack[4 * axis + j, :, axis] += off
-        vals = self.fun(stack.reshape(-1, dim), s).reshape(4 * dim, n)
-        grad = np.empty((n, dim))
-        for axis in range(dim):
-            m2, m1, p1, p2 = vals[4 * axis: 4 * axis + 4]
-            grad[:, axis] = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
-        if self.mesh_kind == "torus":
-            return np.column_stack([grad[:, 1], -grad[:, 0]])
-        return FOUR_PI * np.cross(grad, pts)
-
-
 class _StageHamiltonian:
     """One stage Hamiltonian: point evaluators built once, and its exact flow.
 
@@ -655,7 +621,7 @@ def remainder_norm(scheme: SplittingScheme, f: ScalarField, g: ScalarField, t: f
     """Norm of the generator defect ``K(t) - (F + G)``."""
     k = cocycle_hamiltonian(scheme, f, g, t)
     defect = ScalarField(f.mesh, k.values - (f.values + g.values))
-    return uniform_norm(defect) if norm == "uniform" else l1_norm(defect)
+    return NORMS[norm](defect)
 
 
 @dataclass
@@ -743,6 +709,8 @@ def composition_expansion(
     coefficient ``1/(i_1! ... i_n!)``, carries ``t**(i_1+...+i_n)``, and
     its field applies ``i_1`` brackets with ``H_1`` first, then ``i_2``
     with ``H_2``, and so on.  The discarded tail is ``O(t**order_cap)``.
+    Fields come from one ``BracketTable`` rooted at ``A``; like those of
+    ``eval_monomial`` they carry no expression, apart from ``A`` itself.
     """
     n = len(hs)
     if not 1 <= n <= 4:
@@ -751,20 +719,12 @@ def composition_expansion(
         raise OutOfRangeError(f"order cap must be in [2, 6], got {order_cap}")
     if a.expr is None or any(h.expr is None for h in hs):
         raise SymbolicRequiredError("the expansion needs expression-backed fields")
-    # by degree, so each field's parent (one bracket fewer, with the last
-    # Hamiltonian it applies) is already there
-    fields: dict[tuple[int, ...], ScalarField] = {}
+    table = BracketTable.rooted(a, dict(enumerate(hs)), order_cap - 1)
     terms = []
     for powers in sorted(_multi_indices(n, order_cap - 1), key=lambda p: (sum(p), p)):
-        if any(powers):
-            j = max(k for k in range(n) if powers[k] > 0)
-            fields[powers] = poisson(fields[powers[:j] + (powers[j] - 1,) + powers[j + 1:]], hs[j])
-        else:
-            fields[powers] = a
-        coef = 1.0
-        for i in powers:
-            coef /= math.factorial(i)
-        terms.append(ExpansionTerm(powers, coef, sum(powers), fields[powers]))
+        word = tuple(j for j, i in enumerate(powers) for _ in range(i))
+        coef = 1.0 / math.prod(map(math.factorial, powers))
+        terms.append(ExpansionTerm(powers, coef, sum(powers), table.field(word)))
     return terms
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "mean",
     "uniform_norm",
     "l1_norm",
+    "NORMS",
     "interpolate",
 ]
 
@@ -337,6 +338,9 @@ def l1_norm(f: ScalarField) -> float:
 def uniform_norm(f: ScalarField) -> float:
     """Max of |values| over mesh points."""
     return float(np.max(np.abs(f.values)))
+
+
+NORMS = {"uniform": uniform_norm, "l1": l1_norm}
 
 
 # ---------------------------------------------------------------------------

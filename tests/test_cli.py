@@ -48,6 +48,19 @@ def test_config_rejects_bad_values():
         ExperimentConfig(eps_grid=()).validate()
     with pytest.raises(ConfigError, match="t_grid"):
         ExperimentConfig(t_grid=(True, 0.05)).validate()
+    with pytest.raises(ConfigError, match="sphere level must be at least 3, got 2"):
+        ExperimentConfig(level=2).validate()
+    with pytest.raises(ConfigError, match="torus_n must be at least 8, got 4"):
+        ExperimentConfig(manifold="torus", torus_n=4).validate()
+    with pytest.raises(ConfigError, match="workers must be nonnegative"):
+        ExperimentConfig(workers=-1).validate()
+
+
+def test_extremal_demo_checks_its_sphere_level(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, manifold="torus", level=2)
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the level check"))
+    assert run(["extremal-demo", "--spec", spec]) == 1
+    assert capsys.readouterr().err == "error: sphere level must be at least 3, got 2\n"
 
 
 def test_depth_beyond_the_bracket_range_fails_up_front(capsys, monkeypatch):
@@ -411,6 +424,20 @@ def test_remainder_rejects_order_beyond_the_bracket_range(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: remainder does not support order 8")
     assert "1, 2, 4 or 6" in err
+
+
+@pytest.mark.parametrize("order", [1, 9])
+def test_expansion_rejects_order_outside_the_cap_range(order, tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, manifold="torus", f="0.3*sin(2*pi*q)", g="0.2*cos(2*pi*p)")
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the order check"))
+    assert run(["expansion", "--spec", spec, "--order", str(order)]) == 1
+    assert capsys.readouterr().err == f"error: expansion order must be in [2, 6], got {order}\n"
+
+
+def test_expansion_recognises_the_stage_flows_first(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "composition_expansion", lambda *a, **k: pytest.fail("expanded first"))
+    assert run(["expansion", "--level", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: NotRecognizedError: sphere field is not a linear form")
 
 
 def test_expansion_lists_terms_and_residuals(tmp_path):

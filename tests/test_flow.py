@@ -1,15 +1,16 @@
 """Exact flows, reference integration, composition generators, expansions."""
 
+import itertools
 import pickle
 import warnings
+from typing import Callable
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from symflow.bracket import DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson
+from symflow.bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson
 from symflow.flow import (
-    ClosureHamiltonian,
     CocycleGenerator,
     EquivalenceOrders,
     InterpolationDominatesWarning,
@@ -253,6 +254,40 @@ def test_generator_class_matches_field(torus_pair):
     assert np.max(np.abs(gen.value(f.mesh.points, 0.27) - k.values)) < 1e-14
 
 
+class ClosureHamiltonian:
+    """Generic time-dependent Hamiltonian given only as ``fun(points, s)``.
+
+    The vector field is obtained from fourth-order central differences
+    of the closure, so accuracy bottoms out around ``fd_step**4``.  This
+    is the test-only reference for ``CocycleGenerator.velocity``.
+    """
+
+    def __init__(self, fun: Callable[[np.ndarray, float], np.ndarray], mesh_kind: str, fd_step: float = 3e-4):
+        self.fun = fun
+        self.mesh_kind = mesh_kind
+        self.fd_step = fd_step
+
+    def value(self, pts: np.ndarray, s: float) -> np.ndarray:
+        return self.fun(pts, s)
+
+    def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
+        n, dim = pts.shape
+        h = self.fd_step
+        offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
+        stack = np.repeat(pts[None, :, :], 4 * dim, axis=0)
+        for axis in range(dim):
+            for j, off in enumerate(offsets):
+                stack[4 * axis + j, :, axis] += off
+        vals = self.fun(stack.reshape(-1, dim), s).reshape(4 * dim, n)
+        grad = np.empty((n, dim))
+        for axis in range(dim):
+            m2, m1, p1, p2 = vals[4 * axis: 4 * axis + 4]
+            grad[:, axis] = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+        if self.mesh_kind == "torus":
+            return np.column_stack([grad[:, 1], -grad[:, 0]])
+        return FOUR_PI * np.cross(grad, pts)
+
+
 @pytest.mark.parametrize("mesh_name", ["torus", "sphere"])
 def test_generator_velocity_matches_finite_differences(mesh_name, torus_pair, sphere_pair):
     f, g = torus_pair if mesh_name == "torus" else sphere_pair
@@ -414,6 +449,45 @@ def test_expansion_mixed_term_field(torus_pair):
     assert np.max(np.abs(mixed.field.values - expected.values)) < 1e-12
     assert mixed.coefficient == 1.0
     assert mixed.t_power == 2
+
+
+EXPANSION_SOURCES = {
+    "torus": (
+        "sin(2*pi*q)*exp(cos(2*pi*p))",
+        ("0.3*sin(2*pi*q) + 0.1*cos(2*pi*p)^2", "exp(0.2*cos(2*pi*p))",
+         "1/(2 + sin(2*pi*(q + p)))", "cos(2*pi*q)^3"),
+    ),
+    "sphere": (
+        "x*y/(2 + z) + exp(z)",
+        ("x^3 - 2*y*z + sin(y)", "exp(z) + 1/(2 + x)", "cos(x*y)", "y^2 + 0.5*z"),
+    ),
+}
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+@pytest.mark.parametrize("n, a_index", [(1, None), (2, 0), (3, None), (4, 2)])
+def test_expansion_fields_match_the_symbolic_left_fold(surface, n, a_index):
+    """Every term field of the table-backed expansion against a left fold of
+    the public symbolic ``poisson``; ``a_index`` makes A one of the H_j."""
+    mesh = build_torus(32, 32) if surface == "torus" else build_sphere(3)
+    a_src, h_srcs = EXPANSION_SOURCES[surface]
+    hs = [sample(mesh, s) for s in h_srcs[:n]]
+    a = hs[a_index] if a_index is not None else sample(mesh, a_src)
+    folded = {(0,) * n: a}  # every power once, from its parent one bracket lower
+    for powers in sorted(itertools.product(range(6), repeat=n), key=sum):
+        if 0 < sum(powers) <= 5:
+            j = max(k for k in range(n) if powers[k])
+            folded[powers] = poisson(folded[powers[:j] + (powers[j] - 1,) + powers[j + 1:]], hs[j])
+    degree_max = {}
+    for powers, ref in folded.items():
+        degree_max[sum(powers)] = max(degree_max.get(sum(powers), 0.0), np.max(np.abs(ref.values)))
+    for cap in range(2, 7):
+        for term in composition_expansion(a, hs, cap):
+            ref = folded[term.powers].values
+            # a bracket that vanishes identically ({A, A} and what follows it)
+            # is held to the largest term of its degree
+            scale = np.max(np.abs(ref)) or degree_max[term.t_power]
+            assert np.max(np.abs(term.field.values - ref)) <= 1e-10 * scale, (cap, term.powers)
 
 
 def test_expansion_guards(torus_pair):
