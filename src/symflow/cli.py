@@ -290,11 +290,15 @@ _DEGENERATE_QN = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _require_sphere(cfg: ExperimentConfig, what: str) -> None:
+    if cfg.manifold != "sphere":
+        raise ConfigError(f"{what} needs the quasi-state, so a sphere manifold")
+
+
 def _sphere_family(cfg: ExperimentConfig, what: str):
     """Validate a defect sweep's config; return its pair family on the sphere."""
     cfg.validate()
-    if cfg.manifold != "sphere":
-        raise ConfigError(f"{what} needs the quasi-state, so a sphere manifold")
+    _require_sphere(cfg, what)
     return _pair_family(cfg, cfg.mesh())
 
 
@@ -502,6 +506,7 @@ def _scheme_for_order(order: int):
 
 
 def _cmd_qstate(cfg: ExperimentConfig):
+    _require_sphere(cfg, "qstate")
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     graph = build_reeb(f)
@@ -565,10 +570,11 @@ def _cmd_scheme(cfg: ExperimentConfig):
 
 
 def _cmd_flow_order(cfg: ExperimentConfig):
+    scheme = _scheme_for_order(cfg.order)
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)
-    fit = validate_order(_scheme_for_order(cfg.order), f, g, t_list=tuple(cfg.t_grid))
+    fit = validate_order(scheme, f, g, t_list=tuple(cfg.t_grid))
     rows = [
         ("point", r["t"], r["error"], r["reference_estimate"], r["used"],
          math.nan, math.nan, fit.status)
@@ -595,12 +601,11 @@ def _cmd_remainder(cfg: ExperimentConfig):
             f"remainder does not support order {cfg.order}: its bound needs bracket "
             f"generation {cfg.order + 1}, above {MAX_GENERATION}; use order 1, 2, 4 or 6"
         )
+    scheme = _scheme_for_order(cfg.order)
     mesh = cfg.mesh()
     f = sample(mesh, cfg.f)
     g = sample(mesh, cfg.g)
-    sweep = remainder_ratio_sweep(
-        _scheme_for_order(cfg.order), f, g, t_list=tuple(cfg.t_grid), norm=cfg.norm
-    )
+    sweep = remainder_ratio_sweep(scheme, f, g, t_list=tuple(cfg.t_grid), norm=cfg.norm)
     rows = [
         ("point", r["t"], r["remainder"], r["ratio"], sweep.generation,
          sweep.q_n, math.nan, math.nan)

@@ -15,19 +15,21 @@ on pairs of fields built from a common one but not in general.  The size of
 that additivity failure is what the bracket-norm machinery elsewhere in the
 package estimates from above.
 
-Construction uses the classical join/split merge-tree sweep with ties
-broken by vertex index, so rebuilding the same field is bit-identical.
+Construction is the join/split merge of Carr, Snoeyink & Axen (2003) with
+ties broken by vertex index, so rebuilding the same field is bit-identical.
+Two loops stay per vertex: the union-find sweeps, one find per run of
+earlier neighbours around a vertex, and the leaf peeling that merges the
+two trees; the rest is array code, with pointer doubling along chains.
 Triangle areas land on the tree by spreading each triangle's mass uniformly
 over the value band it spans, anchored on the arc of its middle vertex;
 whatever sticks out past the arc's ends is deposited on the bounding nodes.
-Arc masses are kept as piecewise-linear cumulative profiles along the value
-axis, so medians interpolate inside an arc instead of snapping to vertices.
+Arc masses are piecewise-linear cumulative profiles along the value axis,
+built for all arcs from one sort, so medians interpolate inside an arc.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field as _field
 from typing import NamedTuple, Optional
 
@@ -251,111 +253,93 @@ class PiDefect:
 # ---------------------------------------------------------------------------
 
 
-def _merge_tree(indptr: np.ndarray, indices: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """One merge-tree sweep over ``order``.
+def _merge_tree(corners: tuple[np.ndarray, ...], key: np.ndarray) -> np.ndarray:
+    """One merge-tree sweep over the vertices in increasing ``key``.
 
-    Returns ``parent`` where parent[w] is the vertex at which w's component
-    attached to a later-processed one; the last vertex keeps -1.  Components
-    are tracked with a union-find whose ``head`` is the latest vertex seen.
+    ``corners`` holds one (v, x, y) per triangle corner, y following x
+    counter-clockwise around v, so v's corners chain into its link cycle.
+    Neighbours next to each other on that cycle share a mesh edge, so those
+    swept before v form runs that each lie in one component: one find per
+    run suffices.  A run starts at y when y is earlier and x is not; a
+    vertex whose whole link is earlier has one run.  The root of a
+    component is its latest vertex.  Returns ``parent``: parent[r] is the
+    vertex at which the component rooted at r joined a later one, or -1.
     """
-    n = order.size
+    v, x, y = corners
+    n = key.size
+    kv = key[v]
+    early = key[y] < kv
+    whole = np.bincount(v[early], minlength=n) == np.bincount(v, minlength=n)
+    some_corner = np.empty(n, dtype=np.int64)
+    some_corner[v] = np.arange(v.size)
+    pick = np.concatenate([np.nonzero(early & (key[x] > kv))[0], some_corner[whole]])
+    pick = pick[np.argsort(kv[pick])]
     parent = [-1] * n
     root = list(range(n))
-    head = list(range(n))
-    seen = [False] * n
-    iptr = indptr.tolist()
-    idx = indices.tolist()
-    for v in order.tolist():
-        rv = v
-        for j in range(iptr[v], iptr[v + 1]):
-            u = idx[j]
-            if not seen[u]:
-                continue
-            ru = u
-            while root[ru] != ru:
-                root[ru] = root[root[ru]]
-                ru = root[ru]
-            while root[rv] != rv:
-                root[rv] = root[root[rv]]
-                rv = root[rv]
-            if ru != rv:
-                parent[head[ru]] = v
-                root[ru] = rv
-                head[rv] = v
-        seen[v] = True
+    for w, u in zip(v[pick].tolist(), y[pick].tolist()):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        if u != w:
+            parent[u] = w
+            root[u] = w
     return np.asarray(parent, dtype=np.int64)
 
 
-def _contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> list[tuple[int, int]]:
+def _contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Combine the two merge trees into the arcs of the full level-set tree.
 
     Standard leaf-peeling merge: a vertex with no children left in one tree
     and at most one in the other is pinched off along its pointer in the
-    first tree, and contracted out of the second.
+    first tree, and contracted out of the second.  Each tree keeps, per
+    vertex, the number of children left and the sum of their ids, which is
+    the only child when one is left.  The arcs do not depend on the order
+    of peeling.  Returns the two endpoint arrays of the arcs.
     """
     n = jt_down.size
-    jt_ch: list[list[int]] = [[] for _ in range(n)]
-    st_ch: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        if jt_down[w] >= 0:
-            jt_ch[jt_down[w]].append(w)
-        if st_up[w] >= 0:
-            st_ch[st_up[w]].append(w)
-    jt_down = jt_down.copy()
-    st_up = st_up.copy()
+    down, up = jt_down.tolist(), st_up.tolist()
 
-    def upper_ok(v: int) -> bool:
-        return not jt_ch[v] and len(st_ch[v]) <= 1
+    def children(ptr: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        has = ptr >= 0
+        ids = np.bincount(ptr[has], weights=np.nonzero(has)[0], minlength=n)
+        return np.bincount(ptr[has], minlength=n), ids.astype(np.int64).tolist()
 
-    def lower_ok(v: int) -> bool:
-        return not st_ch[v] and len(jt_ch[v]) <= 1
-
-    queue = deque(v for v in range(n) if upper_ok(v) or lower_ok(v))
-    removed = np.zeros(n, dtype=bool)
-    arcs: list[tuple[int, int]] = []
-    alive = n
-    while queue and alive > 1:
-        v = queue.popleft()
-        if removed[v]:
-            continue
-        if upper_ok(v) and jt_down[v] >= 0:
-            w = int(jt_down[v])
-            arcs.append((v, w))
-            jt_ch[w].remove(v)
-            p = int(st_up[v])
-            c = -1
-            if st_ch[v]:
-                c = st_ch[v][0]
-                st_up[c] = p
-                if p >= 0:
-                    st_ch[p].remove(v)
-                    st_ch[p].append(c)
-            elif p >= 0:
-                st_ch[p].remove(v)
-        elif lower_ok(v) and st_up[v] >= 0:
-            w = int(st_up[v])
-            arcs.append((v, w))
-            st_ch[w].remove(v)
-            p = int(jt_down[v])
-            c = -1
-            if jt_ch[v]:
-                c = jt_ch[v][0]
-                jt_down[c] = p
-                if p >= 0:
-                    jt_ch[p].remove(v)
-                    jt_ch[p].append(c)
-            elif p >= 0:
-                jt_ch[p].remove(v)
+    n_up, sum_up = children(jt_down)  # join-tree children lie above
+    n_dn, sum_dn = children(st_up)
+    leaf = (np.minimum(n_up, n_dn) == 0) & (np.maximum(n_up, n_dn) <= 1)
+    stack = np.nonzero(leaf)[0].tolist()
+    n_up, n_dn = n_up.tolist(), n_dn.tolist()
+    arcs = []
+    while stack and len(arcs) < n - 1:
+        v = stack.pop()
+        if n_up[v] == 0 and n_dn[v] <= 1 and down[v] >= 0:
+            w, p, c = down[v], up[v], sum_dn[v]
+            n_up[w] -= 1
+            sum_up[w] -= v
+            if p >= 0:
+                n_dn[p] += n_dn[v] - 1
+                sum_dn[p] += c - v
+            if n_dn[v]:
+                up[c] = p
+        elif n_dn[v] == 0 and n_up[v] <= 1 and up[v] >= 0:
+            w, p, c = up[v], down[v], sum_up[v]
+            n_dn[w] -= 1
+            sum_dn[w] -= v
+            if p >= 0:
+                n_up[p] += n_up[v] - 1
+                sum_up[p] += c - v
+            if n_up[v]:
+                down[c] = p
         else:
             continue
-        removed[v] = True
-        alive -= 1
-        for cand in (w, p, c):
-            if cand >= 0 and not removed[cand] and (upper_ok(cand) or lower_ok(cand)):
-                queue.append(cand)
-    if alive != 1 or len(arcs) != n - 1:
+        down[v] = up[v] = -1  # v is out of both trees: never peel it again
+        arcs.append((v, w))
+        stack.append(w)
+        if p >= 0:
+            stack.append(p)
+    if len(arcs) != n - 1:
         raise InvariantViolationError("merge-tree combination did not produce a tree")
-    return arcs
+    return np.array(arcs, dtype=np.int64).reshape(-1, 2).T
 
 
 # ---------------------------------------------------------------------------
@@ -392,60 +376,48 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         g.validate()
         return g
 
-    order = np.lexsort((np.arange(n), vals))
+    order = np.argsort(vals, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    indptr, indices = mesh.neighbor_csr()
+    tri = mesh.triangles
+    corners = (tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel())
+    a, b = _contour_arcs(_merge_tree(corners, -rank), _merge_tree(corners, rank))
+    lo = np.where(rank[a] < rank[b], a, b)
+    hi = a + b - lo
 
-    jt_down = _merge_tree(indptr, indices, order[::-1])
-    st_up = _merge_tree(indptr, indices, order)
-    arcs = _contour_arcs(jt_down, st_up)
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in arcs:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    rank_l = rank.tolist()
-    regular = [
-        len(a) == 2 and (rank_l[a[0]] > rank_l[v]) != (rank_l[a[1]] > rank_l[v])
-        for v, a in enumerate(adj)
-    ]
-
-    crit = sorted((v for v in range(n) if not regular[v]), key=lambda v: rank_l[v])
+    # A vertex with one arc below and one above is regular; the others are
+    # the nodes, numbered by rank.  Each arc leaving a node upward starts an
+    # edge, numbered by (rank of the node, rank of the arc's other end), and
+    # runs up a chain of regular vertices to the next node.
+    regular = (np.bincount(lo, minlength=n) == 1) & (np.bincount(hi, minlength=n) == 1)
+    crit = order[~regular[order]]
     node_of_vertex = np.full(n, -1, dtype=np.int64)
-    for i, v in enumerate(crit):
-        node_of_vertex[v] = i
-    nodes = [ReebNode(i, int(v), float(vals[v])) for i, v in enumerate(crit)]
-
-    edge_of_vertex = np.full(n, -1, dtype=np.int64)
-    edge_lower: list[int] = []
-    edge_upper: list[int] = []
-    for v in crit:
-        for nb in sorted(adj[v], key=lambda o: rank_l[o]):
-            if rank_l[nb] <= rank_l[v]:
-                continue
-            chain = []
-            prev, cur = v, nb
-            while regular[cur]:
-                chain.append(cur)
-                a0, a1 = adj[cur]
-                prev, cur = cur, (a1 if a0 == prev else a0)
-            eid = len(edge_lower)
-            edge_lower.append(node_of_vertex[v])
-            edge_upper.append(int(node_of_vertex[cur]))
-            if chain:
-                edge_of_vertex[chain] = eid
-    e_lower = np.asarray(edge_lower, dtype=np.int64)
-    e_upper = np.asarray(edge_upper, dtype=np.int64)
-    node_vals = np.array([nd.value for nd in nodes])
+    node_of_vertex[crit] = np.arange(crit.size)
+    first = np.nonzero(~regular[lo])[0]
+    first = first[np.lexsort((rank[hi[first]], rank[lo[first]]))]
+    e_lower = node_of_vertex[lo[first]]
+    e_upper = node_of_vertex[hi[first]]
+    below = np.arange(n)
+    below[hi] = lo
+    above = np.arange(n)
+    above[lo] = hi
+    chained = regular[hi[first]]
+    start_edge = np.full(n, -1, dtype=np.int64)
+    start_edge[hi[first[chained]]] = np.nonzero(chained)[0]
+    # Pointer doubling down each chain to its first vertex.
+    bottom = np.where(regular & regular[below], below, np.arange(n))
+    while not np.array_equal(nxt := bottom[bottom], bottom):
+        bottom = nxt
+    edge_of_vertex = np.where(regular, start_edge[bottom], -1)
+    top = np.nonzero(regular & ~regular[above])[0]
+    e_upper[edge_of_vertex[top]] = node_of_vertex[above[top]]
+    node_vals = vals[crit]
 
     node_atom, edges = _deposit_mass(
-        mesh, vals, rank, nodes, node_vals, e_lower, e_upper,
-        node_of_vertex, edge_of_vertex,
+        mesh, vals, rank, node_vals, e_lower, e_upper, node_of_vertex, edge_of_vertex
     )
-    for nd, a in zip(nodes, node_atom):
-        nd.atom = float(a)
+    node_rows = zip(crit.tolist(), node_vals.tolist(), node_atom.tolist())
+    nodes = [ReebNode(i, *row) for i, row in enumerate(node_rows)]
 
     g = ReebGraph(
         nodes=nodes,
@@ -458,97 +430,125 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     return g
 
 
-def _deposit_mass(mesh, vals, rank, nodes, node_vals, e_lower, e_upper,
+#: Largest share of the total mass that one triangle's rounding may leave in
+#: an edge's running density sum; a band too narrow for that counts as flat.
+_DENSITY_ROUNDING = 1e-12
+
+
+def _segmented_cumsum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of each run of ``lengths`` consecutive entries of ``x``.
+
+    Bitwise equal to one ``np.cumsum`` call per run: runs whose lengths have
+    the same power-of-two ceiling are zero-padded into the rows of one 2-D
+    block, and a cumulative sum along the rows adds strictly left to right.
+    """
+    out = np.empty_like(x)
+    starts = np.cumsum(lengths) - lengths
+    width = 1 << np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+    for w in np.unique(width[lengths > 0]):
+        rows = np.nonzero((width == w) & (lengths > 0))[0]
+        keep = np.arange(w) < lengths[rows, None]
+        at = (starts[rows, None] + np.arange(w))[keep]
+        block = np.zeros((rows.size, w))
+        block[keep] = x[at]
+        out[at] = np.cumsum(block, axis=1)[keep]
+    return out
+
+
+def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
                   node_of_vertex, edge_of_vertex):
     """Spread triangle areas over the tree and build per-edge mass profiles.
 
     Each triangle's mass is uniform over the value band its vertices span,
     anchored on the arc of its middle vertex; the slices of the band below
     or above the arc's value interval become point masses on the bounding
-    nodes.  Value-degenerate triangles contribute a point mass directly.
+    nodes.  A value-degenerate triangle contributes a point mass directly:
+    one of width w = 0, or one whose density m / w would leave more than
+    ``_DENSITY_ROUNDING`` of rounding, about 2 eps m R / w (R the field's
+    range), in the running density sum.  All (edge, knot value) pairs are
+    sorted once; every edge's sums restart at zero.
     """
-    n_edges = e_lower.size
+    n_nodes, n_edges = node_vals.size, e_lower.size
     tri = mesh.triangles
     tmass = mesh.tri_masses
     tvals = vals[tri]
     lo = tvals.min(axis=1)
     hi = tvals.max(axis=1)
     bary = tvals.mean(axis=1)
-    mid_pos = np.argsort(rank[tri], axis=1)[:, 1]
-    mid = tri[np.arange(len(tri)), mid_pos]
-    anchor = edge_of_vertex[mid].copy()
+    mid = tri[np.arange(len(tri)), np.argsort(rank[tri], axis=1)[:, 1]]
+    anchor = edge_of_vertex[mid]
 
     # Triangles whose middle vertex is itself a node: route them to an
     # incident edge on the side of the barycenter value (smallest edge id
     # for determinism).
-    node_adj: list[list[int]] = [[] for _ in nodes]
-    for eid in range(n_edges):
-        node_adj[e_lower[eid]].append(eid)
-        node_adj[e_upper[eid]].append(eid)
-    for t in np.nonzero(anchor < 0)[0]:
-        nid = int(node_of_vertex[mid[t]])
-        ups = [e for e in node_adj[nid] if e_lower[e] == nid]
-        downs = [e for e in node_adj[nid] if e_upper[e] == nid]
-        if bary[t] >= node_vals[nid] and ups:
-            anchor[t] = min(ups)
-        elif downs:
-            anchor[t] = min(downs)
-        else:
-            anchor[t] = min(ups)
+    ids = np.arange(n_edges)
+    first_up = np.full(n_nodes, n_edges)
+    np.minimum.at(first_up, e_lower, ids)
+    first_down = np.full(n_nodes, n_edges)
+    np.minimum.at(first_down, e_upper, ids)
+    at = np.nonzero(anchor < 0)[0]
+    nid = node_of_vertex[mid[at]]
+    go_up = ((bary[at] >= node_vals[nid]) & (first_up[nid] < n_edges)) | (first_down[nid] == n_edges)
+    anchor[at] = np.where(go_up, first_up[nid], first_down[nid])
 
     lo_a = node_vals[e_lower[anchor]]
     hi_a = node_vals[e_upper[anchor]]
     l_in = np.clip(lo, lo_a, hi_a)
     h_in = np.clip(hi, lo_a, hi_a)
     width = hi - lo
-    wide = width > 0
+    wide = width * _DENSITY_ROUNDING > 2.0 * np.finfo(float).eps * tmass * np.ptp(vals)
     safe_w = np.where(wide, width, 1.0)
     inside = np.where(wide, tmass * (h_in - l_in) / safe_w, 0.0)
     below = np.where(wide, tmass * (l_in - lo) / safe_w, 0.0)
     above = np.where(wide, tmass * (hi - h_in) / safe_w, 0.0)
-    atom_val = np.clip(lo, lo_a, hi_a)
     atom_mass = np.where(wide, 0.0, tmass)
+    node_atom = np.bincount(np.concatenate([e_lower[anchor], e_upper[anchor]]),
+                            weights=np.concatenate([below, above]), minlength=n_nodes)
 
-    node_atom = np.zeros(len(nodes))
-    np.add.at(node_atom, e_lower[anchor], below)
-    np.add.at(node_atom, e_upper[anchor], above)
+    # Knots: both node values of every edge, the ends of every band inside
+    # it, and its atoms, deduplicated per edge after one sort.
+    seg = np.nonzero(inside > 0)[0]
+    pts = np.nonzero(atom_mass > 0)[0]
+    owner = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]])
+    value = np.concatenate([node_vals[e_lower], node_vals[e_upper],
+                            l_in[seg], h_in[seg], l_in[pts]])
+    srt = np.argsort(value)
+    srt = srt[np.argsort(owner[srt], kind="stable")]  # by edge, then by value
+    s_owner, s_value = owner[srt], value[srt]
+    new = np.ones(srt.size, dtype=bool)
+    new[1:] = (s_owner[1:] != s_owner[:-1]) | (s_value[1:] != s_value[:-1])
+    s_knot = np.cumsum(new) - 1
+    knot_of = np.empty(srt.size, dtype=np.int64)
+    knot_of[srt] = s_knot
+    knots = s_value[new]
+    bounds = np.searchsorted(s_owner[new], np.arange(n_edges + 1))
+    # -0.0 == 0.0: where an edge meets zero with both signs, its knot keeps
+    # the sign np.unique picks from the edge's values (its sort is unstable).
+    zero, neg = s_value == 0, np.signbit(s_value)
+    for k in np.intersect1d(s_knot[zero & neg], s_knot[zero & ~neg]).tolist():
+        edge_vals = np.unique(value[owner == s_owner[new][k]])
+        knots[k] = edge_vals[np.searchsorted(edge_vals, 0.0)]
+    count = np.diff(bounds)
+    k_lo, k_hi, k_pt = np.split(knot_of[2 * n_edges:], [seg.size, 2 * seg.size])
 
-    order_t = np.argsort(anchor, kind="stable")
-    srt = anchor[order_t]
-    starts = np.searchsorted(srt, np.arange(n_edges))
-    ends = np.searchsorted(srt, np.arange(n_edges) + 1)
-
-    edges = []
-    for eid in range(n_edges):
-        ts = order_t[starts[eid]: ends[eid]]
-        a_val = node_vals[e_lower[eid]]
-        b_val = node_vals[e_upper[eid]]
-        seg_sel = ts[inside[ts] > 0]
-        sl = l_in[seg_sel]
-        sh = h_in[seg_sel]
-        sm = inside[seg_sel]
-        pt_sel = ts[atom_mass[ts] > 0]
-        av = atom_val[pt_sel]
-        am = atom_mass[pt_sel]
-        knots = np.unique(np.concatenate([[a_val, b_val], sl, sh, av]))
-        dens_delta = np.zeros(knots.size)
-        if sl.size:
-            d = sm / (sh - sl)
-            np.add.at(dens_delta, np.searchsorted(knots, sl), d)
-            np.add.at(dens_delta, np.searchsorted(knots, sh), -d)
-        density = np.cumsum(dens_delta)
-        seg_mass = density[:-1] * np.diff(knots)
-        jumps = np.zeros(knots.size)
-        if av.size:
-            np.add.at(jumps, np.searchsorted(knots, av), am)
-        cum_left = np.concatenate([[0.0], np.cumsum(seg_mass)]) + (
-            np.cumsum(jumps) - jumps
+    d = inside[seg] / (h_in[seg] - l_in[seg])
+    dens_delta = np.bincount(np.concatenate([k_lo, k_hi]), weights=np.concatenate([d, -d]),
+                             minlength=knots.size)
+    density = _segmented_cumsum(dens_delta, count)
+    inner = np.ones(knots.size, dtype=bool)  # knots above their edge's first
+    inner[bounds[:-1]] = False
+    seg_mass = (density[:-1] * np.diff(knots))[inner[1:]]
+    jumps = np.bincount(k_pt, weights=atom_mass[pts], minlength=knots.size)
+    cum_left = np.zeros(knots.size)
+    cum_left[inner] = _segmented_cumsum(seg_mass, count - 1)
+    cum_left += _segmented_cumsum(jumps, count) - jumps
+    cum_right = cum_left + jumps
+    edges = [
+        ReebEdge(e, lw, up, knots[i:j], cum_left[i:j], cum_right[i:j])
+        for e, (lw, up, i, j) in enumerate(
+            zip(e_lower.tolist(), e_upper.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
         )
-        cum_right = cum_left + jumps
-        edges.append(
-            ReebEdge(eid, int(e_lower[eid]), int(e_upper[eid]),
-                     knots, cum_left, cum_right)
-        )
+    ]
     return node_atom, edges
 
 

@@ -379,6 +379,21 @@ def test_odd_scheme_orders_are_rejected(capsys):
     assert "order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scheme", "flow-order", "remainder"])
+def test_unknown_scheme_order_fails_before_sampling(command, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the order check"))
+    assert run([command, "--order", "3", "--level", "3"]) == 1
+    assert capsys.readouterr().err == "error: no splitting scheme of order 3; use 1, 2, 4, 6, or 8\n"
+
+
+def test_qstate_on_a_torus_fails_before_any_mesh(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, manifold="torus", torus_n=16, f="sin(2*pi*q)")
+    monkeypatch.setattr(cli, "build_torus", lambda *a, **k: pytest.fail("built a mesh first"))
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled first"))
+    assert run(["qstate", "--spec", spec]) == 1
+    assert capsys.readouterr().err == "error: qstate needs the quasi-state, so a sphere manifold\n"
+
+
 def test_flow_order_reports_fit(tmp_path, capsys):
     spec = write_spec(
         tmp_path, manifold="torus", torus_n=48,

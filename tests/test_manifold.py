@@ -50,6 +50,15 @@ def test_sphere_counts():
     assert m5.n_points == 10 * 4**5 + 2 == 10242
 
 
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_sphere_triangles_are_outward_oriented(level):
+    # the level-set tree walks each vertex's link counter-clockwise
+    mesh = build_sphere(level)
+    a, b, c = (mesh.points[mesh.triangles[:, i]] for i in range(3))
+    normal = np.cross(b - a, c - a)
+    assert np.all(np.einsum("ij,ij->i", normal, a + b + c) > 0)
+
+
 def test_sphere_too_small():
     with pytest.raises(SizeTooSmallError):
         build_sphere(2)

@@ -1,14 +1,18 @@
 """Level-set tree construction and the median quasi-state."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from symflow.manifold import build_sphere, build_torus, sample, uniform_norm
+from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
 from symflow.reeb import (
+    _merge_tree,
     InvariantViolationError,
     MedianPoint,
     NotASphereMeshError,
@@ -132,6 +136,13 @@ def test_nonfinite_values_are_rejected(sphere3):
     f.values[3] = np.nan
     with pytest.raises(ValueError):
         build_reeb(f)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_odd_field_state_is_zero(level):
+    # x*y*z is odd under the antipodal map, so its median sits at 0; a few
+    # triangles have value bands at rounding level around 0
+    assert abs(quasi_state(sample(build_sphere(level), "x*y*z"))) <= tau(level)
 
 
 def test_rebuilds_are_bit_identical(sphere4):
@@ -297,3 +308,224 @@ def test_median_point_is_frozen():
     m = MedianPoint(value=0.0, node=0)
     with pytest.raises(AttributeError):
         m.value = 1.0
+
+
+# ---------------------------------------------------------------------------
+# The array pipeline against a component oracle and the per-vertex reference
+# ---------------------------------------------------------------------------
+
+
+def _corners(mesh):
+    t = mesh.triangles
+    return t.ravel(), t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+
+
+def _ranks(vals):
+    rank = np.empty(vals.size, dtype=np.int64)
+    rank[np.argsort(vals, kind="stable")] = np.arange(vals.size)
+    return rank
+
+
+def _component_min(n, keep, u, v):
+    """Per kept vertex, the smallest vertex of its component in the graph
+    of the edges (u, v) with both ends kept; -1 elsewhere."""
+    sel = keep[u] & keep[v]
+    graph = coo_matrix((np.ones(sel.sum()), (u[sel], v[sel])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    least = np.full(n, n)
+    np.minimum.at(least, labels, np.arange(n))
+    return np.where(keep, least[labels], -1)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_merge_trees_match_the_component_oracle(sphere3, ties):
+    rng = np.random.default_rng(17)
+    n = sphere3.n_points
+    mu, mv = sphere3.edges().T
+    for _ in range(2):
+        vals = sample(sphere3, random_quadratic(rng)).values
+        if ties:
+            vals = np.round(3.0 * vals)
+        rank = _ranks(vals)
+        # the join tree sweeps down (superlevel sets), the split tree up
+        for key in (-rank, rank):
+            parent = _merge_tree(_corners(sphere3), key)
+            tu = np.nonzero(parent >= 0)[0]
+            for threshold in np.sort(key):
+                keep = key <= threshold
+                np.testing.assert_array_equal(
+                    _component_min(n, keep, tu, parent[tu]), _component_min(n, keep, mu, mv)
+                )
+
+
+def _reference_merge_tree(indptr, indices, order):
+    n = order.size
+    parent = [-1] * n
+    root = list(range(n))
+    head = list(range(n))
+    seen = [False] * n
+    for v in order.tolist():
+        rv = v
+        for u in indices[indptr[v]: indptr[v + 1]].tolist():
+            if not seen[u]:
+                continue
+            ru = u
+            while root[ru] != ru:
+                root[ru] = root[root[ru]]
+                ru = root[ru]
+            while root[rv] != rv:
+                root[rv] = root[root[rv]]
+                rv = root[rv]
+            if ru != rv:
+                parent[head[ru]] = v
+                root[ru] = rv
+                head[rv] = v
+        seen[v] = True
+    return parent
+
+
+def _reference_arcs(jt_down, st_up):
+    n = len(jt_down)
+    jt_ch = [[] for _ in range(n)]
+    st_ch = [[] for _ in range(n)]
+    for w in range(n):
+        if jt_down[w] >= 0:
+            jt_ch[jt_down[w]].append(w)
+        if st_up[w] >= 0:
+            st_ch[st_up[w]].append(w)
+    jt_down, st_up = list(jt_down), list(st_up)
+
+    def upper_ok(v):
+        return not jt_ch[v] and len(st_ch[v]) <= 1
+
+    def lower_ok(v):
+        return not st_ch[v] and len(jt_ch[v]) <= 1
+
+    queue = deque(v for v in range(n) if upper_ok(v) or lower_ok(v))
+    removed = [False] * n
+    arcs = []
+    while queue and len(arcs) < n - 1:
+        v = queue.popleft()
+        if removed[v]:
+            continue
+        for ok, down, up, down_ch, up_ch in ((upper_ok, jt_down, st_up, jt_ch, st_ch),
+                                             (lower_ok, st_up, jt_down, st_ch, jt_ch)):
+            if ok(v) and down[v] >= 0:
+                break
+        else:
+            continue
+        w, p = down[v], up[v]
+        arcs.append((v, w))
+        down_ch[w].remove(v)
+        c = up_ch[v][0] if up_ch[v] else -1
+        if c >= 0:
+            up[c] = p
+        if p >= 0:
+            up_ch[p].remove(v)
+            if c >= 0:
+                up_ch[p].append(c)
+        removed[v] = True
+        queue.extend(x for x in (w, p, c) if x >= 0 and (upper_ok(x) or lower_ok(x)))
+    assert len(arcs) == n - 1
+    return arcs
+
+
+def _reference_tree(f):
+    """Per-vertex construction of nodes, edges and profiles, as it was
+    before the array pipeline (no rounding-level band rule)."""
+    mesh, vals = f.mesh, f.values
+    n = vals.size
+    order = np.lexsort((np.arange(n), vals))
+    rank = _ranks(vals)
+    indptr, indices = mesh.neighbor_csr()
+    arcs = _reference_arcs(_reference_merge_tree(indptr, indices, order[::-1]),
+                           _reference_merge_tree(indptr, indices, order))
+    adj = [[] for _ in range(n)]
+    for a, b in arcs:
+        adj[a].append(b)
+        adj[b].append(a)
+    regular = [len(a) == 2 and (rank[a[0]] > rank[v]) != (rank[a[1]] > rank[v])
+               for v, a in enumerate(adj)]
+    crit = sorted((v for v in range(n) if not regular[v]), key=lambda v: rank[v])
+    node_of_vertex = np.full(n, -1)
+    node_of_vertex[crit] = np.arange(len(crit))
+    edge_of_vertex = np.full(n, -1)
+    e_lower, e_upper = [], []
+    for v in crit:
+        for nb in sorted(adj[v], key=lambda o: rank[o]):
+            if rank[nb] <= rank[v]:
+                continue
+            chain, prev, cur = [], v, nb
+            while regular[cur]:
+                chain.append(cur)
+                a0, a1 = adj[cur]
+                prev, cur = cur, (a1 if a0 == prev else a0)
+            edge_of_vertex[chain] = len(e_lower)
+            e_lower.append(node_of_vertex[v])
+            e_upper.append(node_of_vertex[cur])
+    e_lower, e_upper = np.array(e_lower), np.array(e_upper)
+    node_vals = vals[crit]
+
+    tri, tmass = mesh.triangles, mesh.tri_masses
+    tvals = vals[tri]
+    lo, hi, bary = tvals.min(axis=1), tvals.max(axis=1), tvals.mean(axis=1)
+    mid = tri[np.arange(len(tri)), np.argsort(rank[tri], axis=1)[:, 1]]
+    anchor = edge_of_vertex[mid].copy()
+    for t in np.nonzero(anchor < 0)[0]:
+        nid = node_of_vertex[mid[t]]
+        ups = np.nonzero(e_lower == nid)[0]
+        downs = np.nonzero(e_upper == nid)[0]
+        use_up = (bary[t] >= node_vals[nid] and ups.size) or not downs.size
+        anchor[t] = (ups if use_up else downs).min()
+    lo_a, hi_a = node_vals[e_lower[anchor]], node_vals[e_upper[anchor]]
+    l_in, h_in = np.clip(lo, lo_a, hi_a), np.clip(hi, lo_a, hi_a)
+    width = hi - lo
+    wide = width > 0
+    safe_w = np.where(wide, width, 1.0)
+    inside = np.where(wide, tmass * (h_in - l_in) / safe_w, 0.0)
+    atom_mass = np.where(wide, 0.0, tmass)
+    node_atom = np.zeros(len(crit))
+    np.add.at(node_atom, e_lower[anchor], np.where(wide, tmass * (l_in - lo) / safe_w, 0.0))
+    np.add.at(node_atom, e_upper[anchor], np.where(wide, tmass * (hi - h_in) / safe_w, 0.0))
+    profiles = []
+    for eid in range(e_lower.size):
+        ts = np.nonzero(anchor == eid)[0]
+        seg, pt = ts[inside[ts] > 0], ts[atom_mass[ts] > 0]
+        sl, sh, sm = l_in[seg], h_in[seg], inside[seg]
+        knots = np.unique(np.concatenate(
+            [[node_vals[e_lower[eid]], node_vals[e_upper[eid]]], sl, sh, l_in[pt]]))
+        dens_delta = np.zeros(knots.size)
+        d = sm / (sh - sl)
+        np.add.at(dens_delta, np.searchsorted(knots, sl), d)
+        np.add.at(dens_delta, np.searchsorted(knots, sh), -d)
+        seg_mass = np.cumsum(dens_delta)[:-1] * np.diff(knots)
+        jumps = np.zeros(knots.size)
+        np.add.at(jumps, np.searchsorted(knots, l_in[pt]), atom_mass[pt])
+        cum_left = np.concatenate([[0.0], np.cumsum(seg_mass)]) + (np.cumsum(jumps) - jumps)
+        profiles.append((knots, cum_left, cum_left + jumps))
+    return dict(node_vertex=np.array(crit), node_of_vertex=node_of_vertex,
+                edge_of_vertex=edge_of_vertex, e_lower=e_lower, e_upper=e_upper,
+                node_atom=node_atom, profiles=profiles)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_array_pipeline_matches_the_per_vertex_reference(level):
+    mesh = build_sphere(level)
+    rng = np.random.default_rng(40 + level)
+    x, y, z = mesh.points.T
+    fields = [sample(mesh, random_quadratic(rng)) for _ in range(3)]
+    fields += [ScalarField(mesh, np.round(3.0 * f.values)) for f in fields]
+    fields += [ScalarField(mesh, np.round(3 * x + 2 * y)), sample(mesh, "1 - 2*y^2")]
+    for f in fields:
+        g, ref = build_reeb(f), _reference_tree(f)
+        np.testing.assert_array_equal([nd.vertex for nd in g.nodes], ref["node_vertex"])
+        np.testing.assert_array_equal(g.node_of_vertex, ref["node_of_vertex"])
+        np.testing.assert_array_equal(g.edge_of_vertex, ref["edge_of_vertex"])
+        np.testing.assert_array_equal([e.lower for e in g.edges], ref["e_lower"])
+        np.testing.assert_array_equal([e.upper for e in g.edges], ref["e_upper"])
+        assert [nd.atom for nd in g.nodes] == ref["node_atom"].tolist()
+        assert len(g.edges) == len(ref["profiles"])
+        for e, (knots, cum_left, cum_right) in zip(g.edges, ref["profiles"]):
+            assert e.knots.tobytes() == knots.tobytes()
+            assert e.cum_left.tobytes() == cum_left.tobytes()
+            assert e.cum_right.tobytes() == cum_right.tobytes()
