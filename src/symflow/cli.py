@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -775,8 +776,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # anything else is an input/environment error
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if type(exc).__module__.startswith("symflow."):  # symflow's own classes: bad input
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        else:  # anything else is a bug: show where it happened
+            traceback.print_exc()
         return 1
 
 

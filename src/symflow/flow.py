@@ -79,6 +79,11 @@ class InterpolationDominatesWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # Atomic exact flows
+#
+# ``fold_jacobian(acc, pts)`` is the running inverse Jacobian ``acc`` (None for
+# the identity) times the step's inverse Jacobian at ``pts``, in closed form: a
+# unit triangular shear updates one column of the n x 2 x 2 stack in place; a
+# rotation multiplies by one constant 3 x 3 matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -86,8 +91,8 @@ class _Identity:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts
 
-    def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
-        return np.eye(pts.shape[1])
+    def fold_jacobian(self, acc, pts: np.ndarray):
+        return acc
 
     def inverse(self) -> "_Identity":
         return self
@@ -103,12 +108,13 @@ class _Rotation:
         n = self.axis / np.linalg.norm(self.axis)
         k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
         self.matrix = np.eye(3) + math.sin(theta) * k + (1 - math.cos(theta)) * (k @ k)
+        self._jac_inv = np.ascontiguousarray(self.matrix.T)  # a transposed view would change einsum's rounding
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.matrix.T
 
-    def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
-        return self.matrix.T
+    def fold_jacobian(self, acc, pts: np.ndarray) -> np.ndarray:
+        return self._jac_inv if acc is None else acc @ self._jac_inv
 
     def inverse(self) -> "_Rotation":
         return _Rotation(self.axis, -self.t)
@@ -139,14 +145,16 @@ class _Shear:
             out[:, 0] = (out[:, 0] + self.t * rate) % 1.0
         return out
 
-    def jacobian_inverse(self, pts: np.ndarray) -> np.ndarray:
-        jac = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    def fold_jacobian(self, acc, pts: np.ndarray) -> np.ndarray:
+        if acc is None:
+            acc = np.zeros((pts.shape[0], 2, 2))
+            acc[:, 0, 0] = acc[:, 1, 1] = 1.0
         curv = self.curv_fn(pts[:, 0], pts[:, 1])
         if self.axis == "q":
-            jac[:, 1, 0] = self.t * curv
+            acc[:, :, 0] += acc[:, :, 1] * (self.t * curv)[:, None]
         else:
-            jac[:, 0, 1] = -self.t * curv
-        return jac
+            acc[:, :, 1] += acc[:, :, 0] * (-self.t * curv)[:, None]
+        return acc
 
     def inverse(self) -> "_Shear":
         return _Shear(self.axis, self.rate_fn, self.curv_fn, -self.t)
@@ -442,21 +450,16 @@ class CocycleGenerator:
         return _pullback_sum(self.stages, pts, s)
 
     def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
-        n, dim = pts.shape
-        total = np.zeros((n, dim))
-        current = pts
-        inv_jac = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
+        total = np.zeros(pts.shape)
+        current, inv_jac = pts, None
         for i, (coef, h) in enumerate(self.stages):
             if i and s != 0.0:
                 prev_coef, prev = self.stages[i - 1]
                 step = prev.flow(-prev_coef * s)
-                jinv = step.jacobian_inverse(current)
-                if jinv.ndim == 2:
-                    inv_jac = inv_jac @ jinv
-                else:
-                    inv_jac = np.einsum("nij,njk->nik", inv_jac, jinv)
+                inv_jac = step.fold_jacobian(inv_jac, current)
                 current = step.apply(current)
-            total += coef * np.einsum("nij,nj->ni", inv_jac, h.velocity(current))
+            vel = h.velocity(current)
+            total += coef * (vel if inv_jac is None else np.einsum("...ij,...j->...i", inv_jac, vel))
         return total
 
 
@@ -486,17 +489,28 @@ def _rk4(ham, points: np.ndarray, t: float, nsteps: int) -> np.ndarray:
 
 @dataclass
 class ReferenceFlow:
-    """Endpoint map of a calibrated reference integration."""
+    """Endpoint map of a calibrated reference integration.
+
+    ``probes`` and ``endpoints`` keep the calibration's final run: applied
+    to points equal to those probes the map returns a copy of the kept
+    endpoints, which is what integrating them again would give bit for bit.
+    Any other points are integrated with ``nsteps`` steps.
+    """
 
     ham: object
     t: float
     nsteps: int
     mesh_kind: str
     error_estimate: float
+    probes: np.ndarray
+    endpoints: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = _rk4(self.ham, pts, self.t, self.nsteps)
+        if np.array_equal(pts, self.probes):
+            out = self.endpoints.copy()
+        else:
+            out = _rk4(self.ham, pts, self.t, self.nsteps)
         if np.ndim(points) == 1:
             return out[0]
         return out
@@ -522,7 +536,9 @@ def reference_flow(
 
     The classical fourth-order one-step method is run with ``n`` and
     ``2n`` steps on a probe set until the endpoint gap is at most
-    ``tol``; the observed gap is kept as the error estimate.
+    ``tol``; the observed gap is kept as the error estimate, and a copy
+    of the probes and the endpoints of the final run are kept on the
+    returned :class:`ReferenceFlow`.
 
     Raises
     ------
@@ -532,6 +548,7 @@ def reference_flow(
     ham = _coerce_hamiltonian(h)
     if probes is None:
         probes = default_probes(ham.mesh_kind, n=48, seed=777)
+    probes = np.array(probes, dtype=float)
     n = min_steps
     prev = _rk4(ham, probes, t, n)
     while True:
@@ -539,7 +556,7 @@ def reference_flow(
         cur = _rk4(ham, probes, t, n)
         gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
         if gap <= tol:
-            return ReferenceFlow(ham, t, n, ham.mesh_kind, gap)
+            return ReferenceFlow(ham, t, n, ham.mesh_kind, gap, probes, cur)
         if n >= max_steps:
             raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
         prev = cur
@@ -554,7 +571,8 @@ def reference_endpoints(
     """Reference endpoints of the flow of one field for each ``t``.
 
     Calibrates the step size once at the largest ``t`` and reuses it,
-    so the per-``t`` error estimate scales linearly with ``t``.
+    so the per-``t`` error estimate scales linearly with ``t``.  The
+    endpoints at the largest ``t`` are the calibration's own.
     """
     ham = StaticHamiltonian(f_plus_g)
     t_max = max(t_list)
@@ -563,7 +581,7 @@ def reference_endpoints(
     for t in t_list:
         nsteps = max(16, int(math.ceil(ref.nsteps * t / t_max)))
         est = max(ref.error_estimate * (t / t_max), 1e-15)
-        out[t] = (_rk4(ham, probes, t, nsteps), est)
+        out[t] = (ref.apply(probes) if t == t_max else _rk4(ham, probes, t, nsteps), est)
     return out
 
 

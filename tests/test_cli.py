@@ -131,6 +131,19 @@ def test_missing_spec_file_exits_one():
     assert run(["qstate", "--spec", "/no/such/file.json"]) == 1
 
 
+def test_unexpected_exception_prints_its_traceback(capsys, monkeypatch):
+    def broken(cfg):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setitem(cli._COMMANDS, "qn", broken)
+    assert run(["qn", "--level", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in broken" in err
+    assert err.endswith("TypeError: a bug, not bad input\n")
+    assert "error:" not in err
+
+
 def test_usage_errors_exit_one():
     assert run([]) == 1
     assert run(["frobnicate"]) == 1

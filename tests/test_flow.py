@@ -1,6 +1,7 @@
 """Exact flows, reference integration, composition generators, expansions."""
 
 import itertools
+import math
 import pickle
 import warnings
 from typing import Callable
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from symflow import flow
 from symflow.bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson
 from symflow.flow import (
     CocycleGenerator,
@@ -27,6 +29,7 @@ from symflow.flow import (
     expansion_partial_sum,
     flow_equivalence_order,
     point_distances,
+    reference_endpoints,
     reference_flow,
     remainder_norm,
     remainder_ratio_sweep,
@@ -236,6 +239,61 @@ def test_reference_no_convergence(sphere):
         reference_flow(h, 0.5, tol=1e-16, max_steps=64)
 
 
+@pytest.fixture(scope="module")
+def calibrated(torus_pair):
+    """A Strang generator calibrated on twelve torus probes, with those probes."""
+    gen = CocycleGenerator(strang(), *torus_pair)
+    pts = default_probes("torus", 12, seed=17)
+    return reference_flow(gen, 0.2, tol=1e-9, probes=pts), pts
+
+
+def test_apply_on_the_calibration_probes_returns_the_kept_run(calibrated, monkeypatch):
+    ref, pts = calibrated
+    fresh = flow._rk4(ref.ham, pts, ref.t, ref.nsteps)
+    monkeypatch.setattr(flow, "_rk4", lambda *a: pytest.fail("integrated the calibration probes again"))
+    ends = ref.apply(pts.copy())
+    assert np.array_equal(ends, fresh)
+    ends[:] = 0.0
+    assert np.array_equal(ref.apply(pts), fresh)  # the kept endpoints are handed out as copies
+
+
+def test_apply_on_other_points_integrates(calibrated):
+    ref, pts = calibrated
+    for other in (pts[:5], pts[::-1], default_probes("torus", 12, seed=18)):
+        assert np.array_equal(ref.apply(other), flow._rk4(ref.ham, other, ref.t, ref.nsteps))
+
+
+def test_apply_on_one_point_returns_one_point(calibrated):
+    ref, pts = calibrated
+    one = ref.apply(pts[3])
+    assert one.shape == (2,)
+    assert np.array_equal(one, flow._rk4(ref.ham, pts[3:4], ref.t, ref.nsteps)[0])
+    single = reference_flow(ref.ham, ref.t, tol=1e-9, probes=pts[3:4])
+    assert np.array_equal(single.apply(pts[3]), single.endpoints[0])
+
+
+def test_probes_changed_after_calibration_are_integrated(torus_pair):
+    gen = CocycleGenerator(strang(), *torus_pair)
+    pts = default_probes("torus", 12, seed=19)
+    ref = reference_flow(gen, 0.2, tol=1e-9, probes=pts)
+    kept = ref.apply(pts)
+    pts[0] = (0.25, 0.75)
+    moved = ref.apply(pts)
+    assert np.array_equal(moved, flow._rk4(gen, pts, 0.2, ref.nsteps))
+    assert not np.array_equal(moved[0], kept[0])
+    assert np.array_equal(moved[1:], kept[1:])
+
+
+def test_reference_endpoints_reuse_the_calibration_at_the_largest_t(torus_pair):
+    f, g = torus_pair
+    pts = default_probes("torus", 8, seed=20)
+    ends = reference_endpoints(f + g, [0.05, 0.1], pts, tol=1e-10)
+    ref = reference_flow(StaticHamiltonian(f + g), 0.1, tol=1e-10, probes=pts)
+    assert np.array_equal(ends[0.1][0], flow._rk4(ref.ham, pts, 0.1, ref.nsteps))
+    half = max(16, math.ceil(ref.nsteps * 0.05 / 0.1))
+    assert np.array_equal(ends[0.05][0], flow._rk4(ref.ham, pts, 0.05, half))
+
+
 # ---------------------------------------------------------------------------
 # Composition generator (cocycle)
 # ---------------------------------------------------------------------------
@@ -297,6 +355,52 @@ def test_generator_velocity_matches_finite_differences(mesh_name, torus_pair, sp
     exactv = gen.velocity(pts, 0.3)
     approx = fd.velocity(pts, 0.3)
     assert np.max(np.abs(exactv - approx)) < 1e-8
+
+
+def _stacked_velocity(gen: CocycleGenerator, pts: np.ndarray, s: float) -> np.ndarray:
+    """Test-only reference for ``CocycleGenerator.velocity``: explicit Jacobian stacks.
+
+    Every stage flow's inverse Jacobian is built as an n x d x d stack (a
+    rotation's as its transposed matrix) and multiplied into the running
+    product with ``einsum``; closed-form folds must agree with it bit for bit.
+    """
+    n, dim = pts.shape
+    total = np.zeros((n, dim))
+    current = pts
+    inv_jac = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
+    for i, (coef, h) in enumerate(gen.stages):
+        if i and s != 0.0:
+            prev_coef, prev = gen.stages[i - 1]
+            step = prev.flow(-prev_coef * s)
+            if isinstance(step, flow._Shear):
+                jinv = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+                curv = step.curv_fn(current[:, 0], current[:, 1])
+                if step.axis == "q":
+                    jinv[:, 1, 0] = step.t * curv
+                else:
+                    jinv[:, 0, 1] = -step.t * curv
+                inv_jac = np.einsum("nij,njk->nik", inv_jac, jinv)
+            else:
+                inv_jac = inv_jac @ (step.matrix.T if isinstance(step, flow._Rotation) else np.eye(dim))
+            current = step.apply(current)
+        total += coef * np.einsum("nij,nj->ni", inv_jac, h.velocity(current))
+    return total
+
+
+@pytest.mark.parametrize("scheme", [lie_trotter(), strang(), yoshida(4), yoshida(6)], ids=lambda sc: sc.label)
+@pytest.mark.parametrize("surface", ["torus", "sphere-axes", "sphere-skew"])
+def test_generator_velocity_matches_the_jacobian_stacks(scheme, surface, torus_pair, sphere_pair, sphere):
+    """Skew axes catch a rotation Jacobian held as a non-contiguous view, which rounds differently."""
+    if surface == "torus":
+        f, g = torus_pair
+    elif surface == "sphere-axes":
+        f, g = sphere_pair
+    else:
+        f, g = sample(sphere, "0.3*x+0.1*y"), sample(sphere, "0.2*z-0.4*y")
+    gen = CocycleGenerator(scheme, f, g)
+    pts = default_probes(gen.mesh_kind, 24, seed=21)
+    for s in (0.0, 0.13, 0.3):
+        assert np.array_equal(gen.velocity(pts, s), _stacked_velocity(gen, pts, s))
 
 
 @pytest.mark.parametrize("mesh_name,scheme_fn", [("torus", strang), ("sphere", yoshida)])
