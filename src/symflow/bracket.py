@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateInputError, MeshMismatchError, OutOfRangeError, SymbolicRequiredError
 from .expr import Expression, Var
-from .manifold import NORMS, MeshMismatchError, ScalarField, SphereTri, TorusGrid
+from .manifold import NORMS, ScalarField, SphereTri, TorusGrid
 
 __all__ = [
     "OutOfRangeError",
@@ -53,26 +54,6 @@ __all__ = [
 FOUR_PI = 4.0 * np.pi
 
 MAX_GENERATION = 8
-
-
-class OutOfRangeError(ValueError):
-    """A requested generation, depth, order or option outside the supported range.
-
-    One class for the whole package: :mod:`symflow.scheme` re-exports it.
-    """
-
-
-class SymbolicRequiredError(ValueError):
-    """Deep iterated brackets need expression-backed fields.
-
-    Numeric differencing loses roughly two digits per bracket level, so
-    monomials with four or more bracket applications refuse the numeric
-    path unless explicitly overridden.
-    """
-
-
-class DegenerateInputError(ValueError):
-    """Input on which the requested quantity is undefined (e.g. a commuting pair)."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +224,6 @@ class LieMonomial:
     def degree_in_g(self) -> int:
         return 1 + sum(1 for w in self.word if w == "G")
 
-    @property
-    def degree_in_f(self) -> int:
-        return 1 + sum(1 for w in self.word if w == "F")
-
     def __str__(self) -> str:
         text = "{F,G}"
         for letter in self.word:
@@ -270,8 +247,8 @@ def _measure(generation: int, norm: str, top: int):
     """The norm function, after checking ``2 <= generation <= top`` and the norm name."""
     if not 2 <= generation <= top:
         raise OutOfRangeError(f"generation must be in [2, {top}], got {generation}")
-    if norm not in ("uniform", "l1"):
-        raise OutOfRangeError(f"norm must be 'uniform' or 'l1', got {norm!r}")
+    if norm not in NORMS:
+        raise OutOfRangeError(f"norm must be {' or '.join(map(repr, NORMS))}, got {norm!r}")
     return NORMS[norm]
 
 

@@ -9,13 +9,16 @@ identical configuration and seed give byte-identical CSV, because the
 sweeps run in one thread, rows are assembled in grid order and all
 randomness is drawn up front.
 
-Exit codes: 0 on success, 2 when a checked invariant fails, 1 on any
-configuration or input error.
+Exit codes: 0 on success, otherwise the ``exit_code`` that the raised
+:class:`~symflow.errors.SymflowError` declares (2 when a checked invariant
+fails, 1 for any configuration or input error); 1 with a traceback for any
+other exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -23,24 +26,19 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .bracket import (
-    MAX_GENERATION,
-    BracketTable,
-    DegenerateInputError,
-    enumerate_monomials,
-    poisson,
-)
-from .expr import ExprSyntaxError
+from .bracket import MAX_GENERATION, BracketTable, enumerate_monomials, poisson
+from .errors import ConfigError, DegenerateInputError, InvariantViolationError, SymflowError
 from .manifold import NORMS, ScalarField, build_sphere, build_torus, sample
-from .reeb import InvariantViolationError, build_reeb, median, pi_defect, tau
+from .reeb import build_reeb, median, pi_defect, tau
 from .scheme import DEFAULT_T_GRID, lie_trotter, strang, validate_order, yoshida
 from .flow import (
+    EXPANSION_CAP_RANGE,
     composition_expansion,
     expansion_lhs,
     expansion_partial_sum,
@@ -54,7 +52,6 @@ __all__ = [
     "ResultTable",
     "inequality_sweep",
     "dn_upper",
-    "dn_lower",
     "dn_sweep",
     "khl_sweep",
     "l1_sweep",
@@ -64,14 +61,27 @@ __all__ = [
 
 _L1_CAVEAT = "open problem data, not a verified bound"
 
-
-class ConfigError(ValueError):
-    """Bad configuration file or command line."""
+#: Orders of the splitting schemes: Lie-Trotter, Strang and Yoshida's triple jumps.
+_SCHEME_ORDERS = (1, 2, 4, 6, 8)
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: For each annotation in :class:`ExperimentConfig`: the kind its values must be, and the test.
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, (list, tuple))
+              and all(_is_int(x) or isinstance(x, float) for x in v)),
+}
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,15 @@ class ExperimentConfig:
     workers: int = 0
 
     def validate(self) -> None:
+        for fld in fields(self):
+            kind, ok = _FIELD_KINDS[fld.type]
+            value = getattr(self, fld.name)
+            if not ok(value):
+                raise ConfigError(f"{fld.name} must be {kind}, got {value!r}")
         if self.manifold not in ("sphere", "torus"):
             raise ConfigError(f"manifold must be 'sphere' or 'torus', got {self.manifold!r}")
-        if self.norm not in ("uniform", "l1"):
-            raise ConfigError(f"norm must be 'uniform' or 'l1', got {self.norm!r}")
+        if self.norm not in NORMS:
+            raise ConfigError(f"norm must be {' or '.join(map(repr, NORMS))}, got {self.norm!r}")
         if self.manifold == "sphere" and self.level < 3:
             raise ConfigError(f"sphere level must be at least 3, got {self.level}")
         if self.manifold == "torus" and self.torus_n < 8:
@@ -117,7 +132,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
         for name in ("t_grid", "eps_grid"):
             for value in getattr(self, name):
-                if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
+                if not value > 0:
                     raise ConfigError(f"{name} entries must be positive numbers, got {value!r}")
         if self.family_size < 0:
             raise ConfigError("family_size must be nonnegative")
@@ -156,14 +171,15 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     known = set(ExperimentConfig.__dataclass_fields__)
-    kwargs = {}
+    kwargs, set_by = {}, {}
     for key, value in raw.items():
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in known:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        name = _CONFIG_ALIASES.get(key, key)
+        if name not in known:
+            raise ConfigError(f"{path}: unknown config key {name!r}")
+        if name in set_by:
+            raise ConfigError(f"{path}: {set_by[name]!r} and {key!r} both set {name!r}")
+        set_by[name] = key
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -210,20 +226,19 @@ class ResultTable:
         lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in self.rows)
         return "\r\n".join(lines) + "\r\n"
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def write(self, out_path: str) -> tuple[str, str]:
-        """Write CSV plus a .json sidecar next to it; returns both paths."""
+        """Write CSV plus a .json sidecar next to it; returns both paths or raises ConfigError."""
         base, ext = os.path.splitext(out_path)
         csv_path = out_path if ext else out_path + ".csv"
         json_path = (base if ext else out_path) + ".json"
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-        with open(json_path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True, default=list)
-            fh.write("\n")
+        try:
+            with open(csv_path, "w", newline="") as fh:
+                fh.write(self.to_csv())
+            with open(json_path, "w") as fh:
+                json.dump(self.meta, fh, indent=2, sort_keys=True, default=list)
+                fh.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"{exc.filename or out_path}: {exc.strerror or exc}") from exc
         return csv_path, json_path
 
 
@@ -406,27 +421,17 @@ def dn_upper(f: ScalarField, g: ScalarField, n: int, eps: float,
     return 1.0 - _bisect_scaling(profile, eps)
 
 
-def dn_lower(f: ScalarField, g: ScalarField, n: int, eps: float,
-             c_n_emp: float, norm: str = "uniform") -> float:
-    """Indicative distance underestimate from the defect.
-
-    Half the defect of the normalized pair minus half the empirical
-    constant times eps^(1/n).  The constant is itself a lower estimate of
-    any admissible one, so this number is indicative, not certified.
-    """
-    fn = _normalized(f, norm)
-    gn = _normalized(g, norm)
-    d = pi_defect(fn, gn)
-    return d.defect / 2.0 - 0.5 * c_n_emp * eps ** (1.0 / n)
-
-
 def dn_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Upper and lower tube-distance estimates over the eps grid.
 
     Empirical constants are the family maxima of the inequality sweep on
-    the same config.  Both columns must be nonincreasing in eps; a lower
-    estimate exceeding the upper one by more than the mesh tolerance marks
-    the constant as underestimated rather than failing the run.
+    the same config.  The upper estimate is :func:`dn_upper` of the base
+    pair; the lower one, half the defect of the normalized pair minus half
+    the constant times eps^(1/n), is indicative, not certified, since the
+    constant is itself a lower estimate of any admissible one.  Both
+    columns must be nonincreasing in eps; a lower estimate exceeding the
+    upper one by more than the mesh tolerance marks the constant as
+    underestimated rather than failing the run.
     """
     pairs = _sphere_family(cfg, "tube distances")
     tol = tau(cfg.level)
@@ -497,13 +502,18 @@ def l1_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _scheme_for_order(order: int):
+    if order not in _SCHEME_ORDERS:
+        *head, last = _SCHEME_ORDERS
+        raise ConfigError(f"no splitting scheme of order {order}; use {', '.join(map(str, head))}, or {last}")
     if order == 1:
         return lie_trotter()
-    if order == 2:
-        return strang()
-    if order in (4, 6, 8):
-        return yoshida(order)
-    raise ConfigError(f"no splitting scheme of order {order}; use 1, 2, 4, 6, or 8")
+    return strang() if order == 2 else yoshida(order)
+
+
+def _base_pair(cfg: ExperimentConfig) -> tuple[ScalarField, ScalarField]:
+    """F and G sampled on the config's mesh."""
+    mesh = cfg.mesh()
+    return sample(mesh, cfg.f), sample(mesh, cfg.g)
 
 
 def _cmd_qstate(cfg: ExperimentConfig):
@@ -531,9 +541,7 @@ def _cmd_qstate(cfg: ExperimentConfig):
 
 
 def _cmd_bracket(cfg: ExperimentConfig):
-    mesh = cfg.mesh()
-    f = sample(mesh, cfg.f)
-    g = sample(mesh, cfg.g)
+    f, g = _base_pair(cfg)
     value = NORMS[cfg.norm](poisson(f, g))
     table = ResultTable(
         ("op", "norm", "value"),
@@ -544,9 +552,7 @@ def _cmd_bracket(cfg: ExperimentConfig):
 
 
 def _cmd_qn(cfg: ExperimentConfig):
-    mesh = cfg.mesh()
-    f = sample(mesh, cfg.f)
-    g = sample(mesh, cfg.g)
+    f, g = _base_pair(cfg)
     table = BracketTable(f, g, cfg.n_max - 1)
     rows = []
     lines = []
@@ -572,9 +578,7 @@ def _cmd_scheme(cfg: ExperimentConfig):
 
 def _cmd_flow_order(cfg: ExperimentConfig):
     scheme = _scheme_for_order(cfg.order)
-    mesh = cfg.mesh()
-    f = sample(mesh, cfg.f)
-    g = sample(mesh, cfg.g)
+    f, g = _base_pair(cfg)
     fit = validate_order(scheme, f, g, t_list=tuple(cfg.t_grid))
     rows = [
         ("point", r["t"], r["error"], r["reference_estimate"], r["used"],
@@ -591,21 +595,20 @@ def _cmd_flow_order(cfg: ExperimentConfig):
     ]
     table = ResultTable(
         ("op", "t", "error", "reference_estimate", "used", "slope", "r_squared", "status"),
-        rows, _meta(cfg, op="flow-order", fit=fit.to_dict()),
+        rows, _meta(cfg, op="flow-order", fit=asdict(fit)),
     )
     return table, lines
 
 
 def _cmd_remainder(cfg: ExperimentConfig):
     if cfg.order + 1 > MAX_GENERATION:
+        *head, last = (order for order in _SCHEME_ORDERS if order + 1 <= MAX_GENERATION)
         raise ConfigError(
-            f"remainder does not support order {cfg.order}: its bound needs bracket "
-            f"generation {cfg.order + 1}, above {MAX_GENERATION}; use order 1, 2, 4 or 6"
+            f"remainder does not support order {cfg.order}: its bound needs bracket generation "
+            f"{cfg.order + 1}, above {MAX_GENERATION}; use order {', '.join(map(str, head))} or {last}"
         )
     scheme = _scheme_for_order(cfg.order)
-    mesh = cfg.mesh()
-    f = sample(mesh, cfg.f)
-    g = sample(mesh, cfg.g)
+    f, g = _base_pair(cfg)
     sweep = remainder_ratio_sweep(scheme, f, g, t_list=tuple(cfg.t_grid), norm=cfg.norm)
     rows = [
         ("point", r["t"], r["remainder"], r["ratio"], sweep.generation,
@@ -622,21 +625,20 @@ def _cmd_remainder(cfg: ExperimentConfig):
     ]
     table = ResultTable(
         ("op", "t", "remainder", "ratio", "generation", "q_n", "exponent", "kappa_max"),
-        rows, _meta(cfg, op="remainder"),
+        rows, _meta(cfg, op="remainder", sweep=asdict(sweep)),
     )
     return table, lines
 
 
 def _cmd_expansion(cfg: ExperimentConfig):
     cap = cfg.order
-    if not 2 <= cap <= 6:
-        raise ConfigError(f"expansion order must be in [2, 6], got {cap}")
-    mesh = cfg.mesh()
-    f = sample(mesh, cfg.f)
-    g = sample(mesh, cfg.g)
+    lo, hi = EXPANSION_CAP_RANGE
+    if not lo <= cap <= hi:
+        raise ConfigError(f"expansion order must be in [{lo}, {hi}], got {cap}")
+    f, g = _base_pair(cfg)
     for h in (f, g):
         recognize_flow(h)
-    a = sample(mesh, cfg.a) if cfg.a else f
+    a = sample(f.mesh, cfg.a) if cfg.a else f
     terms = composition_expansion(a, [f, g], cap)
     rows = [
         ("term", ",".join(str(p) for p in t.powers), t.coefficient, t.t_power,
@@ -659,8 +661,7 @@ def _cmd_expansion(cfg: ExperimentConfig):
 def _cmd_extremal_demo(cfg: ExperimentConfig):
     cfg = replace(cfg, f="1 - 2*x^2", g="1 - 2*y^2", manifold="sphere")
     cfg.validate()
-    mesh = cfg.mesh()
-    d = pi_defect(sample(mesh, cfg.f), sample(mesh, cfg.g))
+    d = pi_defect(*_base_pair(cfg))
     lines = [
         f"zeta(F)   = {d.zeta_f:+.6f}   (expected +1 within 0.05)",
         f"zeta(G)   = {d.zeta_g:+.6f}   (expected +1 within 0.05)",
@@ -673,21 +674,15 @@ def _cmd_extremal_demo(cfg: ExperimentConfig):
         and abs(d.zeta_sum) <= 0.05
         and abs(d.defect - 2.0) <= 0.05
     )
+    if not ok:
+        print("\n".join(lines))
+        raise InvariantViolationError("extremal demo values left their tolerance windows")
     rows = [("extremal-demo", d.zeta_f, d.zeta_g, d.zeta_sum, d.defect, tau(cfg.level))]
     table = ResultTable(
         ("op", "zeta_f", "zeta_g", "zeta_sum", "pi", "tau"),
         rows, _meta(cfg, op="extremal-demo"),
     )
-    if not ok:
-        raise _DemoOutOfTolerance(table, lines)
     return table, lines
-
-
-class _DemoOutOfTolerance(InvariantViolationError):
-    def __init__(self, table, lines):
-        super().__init__("extremal demo values left their tolerance windows")
-        self.table = table
-        self.lines = lines
 
 
 _COMMANDS = {
@@ -727,7 +722,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--level", type=int, help="sphere subdivision level")
         p.add_argument("--order", type=int, help="scheme order / expansion cap")
         p.add_argument("--n", type=int, help="maximum bracket depth")
-        p.add_argument("--norm", choices=("uniform", "l1"))
+        p.add_argument("--norm", choices=NORMS)
         p.add_argument("--out", metavar="PATH", help="CSV output path")
         p.add_argument("--seed", type=int)
     return parser
@@ -736,15 +731,14 @@ def _build_parser() -> _Parser:
 def _config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.spec) if args.spec else ExperimentConfig()
     overrides = {}
-    for key, attr in (
-        ("level", "level"), ("order", "order"), ("n", "n_max"),
-        ("norm", "norm"), ("out", "out"), ("seed", "seed"),
-    ):
+    for key in ("level", "order", "n", "norm", "out", "seed"):
         value = getattr(args, key)
         if value is not None:
-            overrides[attr] = value
+            overrides[_CONFIG_ALIASES.get(key, key)] = value
     cfg = replace(cfg, **overrides)
     cfg.validate()
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"{cfg.out}: {os.strerror(errno.ENOENT)}")
     return cfg
 
 
@@ -756,13 +750,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"unknown action {args.action!r}")
         cfg = _config_from_args(args)
         started = time.perf_counter()
-        try:
-            table, lines = _COMMANDS[args.command](cfg)
-        except _DemoOutOfTolerance as demo:
-            for line in demo.lines:
-                print(line)
-            print(f"invariant violated: {demo}", file=sys.stderr)
-            return 2
+        table, lines = _COMMANDS[args.command](cfg)
         table.meta["wall_time_s"] = time.perf_counter() - started
         for line in lines:
             print(line)
@@ -770,17 +758,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             csv_path, json_path = table.write(cfg.out)
             print(f"wrote {csv_path} and {json_path}")
         return 0
-    except InvariantViolationError as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ExprSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        if type(exc).__module__.startswith("symflow."):  # symflow's own classes: bad input
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        else:  # anything else is a bug: show where it happened
-            traceback.print_exc()
+    except SymflowError as exc:
+        print(exc.report(), file=sys.stderr)
+        return exc.exit_code
+    except Exception:  # not bad input but a bug: show where it happened
+        traceback.print_exc()
         return 1
 
 

@@ -21,6 +21,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from .errors import ExprSyntaxError, NonFiniteError, UnknownIdentifierError
+
 __all__ = [
     "Expression",
     "ExprSyntaxError",
@@ -29,26 +31,6 @@ __all__ = [
     "parse",
     "compile_evaluator",
 ]
-
-
-class ExprSyntaxError(ValueError):
-    """Malformed source text; ``offset`` is the byte position of the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
-
-
-class UnknownIdentifierError(ExprSyntaxError):
-    """Identifier that is neither a keyword nor a declared variable."""
-
-    def __init__(self, name: str, offset: int):
-        super().__init__(f"unknown identifier {name!r}", offset)
-        self.name = name
-
-
-class NonFiniteError(ArithmeticError):
-    """Evaluation produced NaN or infinity (division by zero included)."""
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bracket import FOUR_PI, BracketTable, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, q_norm
+from .bracket import FOUR_PI, BracketTable, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
+from .errors import DegenerateInputError, InterpolationDominatesWarning, NoConvergenceError
+from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
 from .expr import compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
 from .scheme import DEFAULT_T_GRID, SplittingScheme
@@ -63,18 +65,6 @@ __all__ = [
     "flow_equivalence_order",
     "EquivalenceOrders",
 ]
-
-
-class NotRecognizedError(ValueError):
-    """The Hamiltonian is outside the families with closed-form flows."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Reference integration failed to reach the requested tolerance."""
-
-
-class InterpolationDominatesWarning(UserWarning):
-    """Interpolation error is a significant fraction of the computed field."""
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +642,6 @@ class RemainderSweep:
     kappa_max: float
     exponent: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "q_n": self.q_n,
-            "kappa_max": self.kappa_max,
-            "exponent": self.exponent,
-            "rows": self.rows,
-        }
-
 
 def remainder_ratio_sweep(
     scheme: SplittingScheme,
@@ -705,6 +686,10 @@ def remainder_ratio_sweep(
 # ---------------------------------------------------------------------------
 
 
+#: Smallest and largest ``order_cap`` of :func:`composition_expansion`.
+EXPANSION_CAP_RANGE = (2, 6)
+
+
 @dataclass
 class ExpansionTerm:
     """One term of the bracket expansion of ``A`` composed with stage flows."""
@@ -733,8 +718,9 @@ def composition_expansion(
     n = len(hs)
     if not 1 <= n <= 4:
         raise OutOfRangeError(f"between 1 and 4 stage Hamiltonians supported, got {n}")
-    if not 2 <= order_cap <= 6:
-        raise OutOfRangeError(f"order cap must be in [2, 6], got {order_cap}")
+    lo, hi = EXPANSION_CAP_RANGE
+    if not lo <= order_cap <= hi:
+        raise OutOfRangeError(f"order cap must be in [{lo}, {hi}], got {order_cap}")
     if a.expr is None or any(h.expr is None for h in hs):
         raise SymbolicRequiredError("the expansion needs expression-backed fields")
     table = BracketTable.rooted(a, dict(enumerate(hs)), order_cap - 1)

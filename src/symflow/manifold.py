@@ -23,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import LocationFailureError, MeshMismatchError, SizeTooSmallError
 from .expr import Expression, parse
 
 __all__ = [
@@ -42,18 +43,6 @@ __all__ = [
     "NORMS",
     "interpolate",
 ]
-
-
-class SizeTooSmallError(ValueError):
-    """Mesh resolution below the supported minimum."""
-
-
-class MeshMismatchError(ValueError):
-    """Operation mixing fields that live on different meshes."""
-
-
-class LocationFailureError(RuntimeError):
-    """A query point could not be located in any mesh cell."""
 
 
 class Mesh:

@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import InvariantViolationError, NotASphereMeshError
 from .manifold import ScalarField, SphereTri
 
 __all__ = [
@@ -51,14 +52,6 @@ __all__ = [
     "quasi_state",
     "pi_defect",
 ]
-
-
-class NotASphereMeshError(TypeError):
-    """The level-set tree construction here is limited to sphere meshes."""
-
-
-class InvariantViolationError(RuntimeError):
-    """A built graph failed a structural invariant (tree shape or total mass)."""
 
 
 #: Leading constant of the per-level tolerance.  Calibrated on fields with

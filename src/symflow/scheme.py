@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bracket import OutOfRangeError
+from .errors import OddOrderError, OutOfRangeError, ReferenceToleranceExceededError
 from .manifold import ScalarField
 
 __all__ = [
@@ -39,14 +39,6 @@ __all__ = [
 MAX_ORDER = 8
 
 DEFAULT_T_GRID = tuple(0.05 * 2.0**-k for k in range(7))
-
-
-class OddOrderError(ValueError):
-    """The triple-jump family only produces even orders."""
-
-
-class ReferenceToleranceExceededError(RuntimeError):
-    """Too few sweep points survive the reference-accuracy filter to fit a slope."""
 
 
 @dataclass(frozen=True)
@@ -161,19 +153,6 @@ class OrderFit:
     rows: list[dict] = field(default_factory=list)
     discarded_points: int = 0
     status: str = "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "nominal_order": self.nominal_order,
-            "expected_slope": self.expected_slope,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "discarded_points": self.discarded_points,
-            "status": self.status,
-            "rows": self.rows,
-        }
 
 
 def validate_order(

@@ -478,3 +478,97 @@ def test_expansion_lists_terms_and_residuals(tmp_path):
     lines = (tmp_path / "exp.csv").read_bytes().decode().split("\r\n")
     ops = {l.split(",")[0] for l in lines[1:] if l}
     assert ops == {"term", "residual"}
+
+
+# ---------------------------------------------------------------------------
+# Typed config fields, alias collisions, output paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command,spec,message",
+    [
+        ("scheme", {"order": True}, "order must be an integer, got True"),
+        ("scheme", {"order": "2"}, "order must be an integer, got '2'"),
+        ("qstate", {"level": "4"}, "level must be an integer, got '4'"),
+        ("inequality", {"seed": "x"}, "seed must be an integer, got 'x'"),
+        ("inequality", {"amplitudes": 0.1}, "amplitudes must be a list of numbers, got 0.1"),
+        ("inequality", {"family_size": 1.5}, "family_size must be an integer, got 1.5"),
+        ("inequality", {"e_grid": ["a"]}, "e_grid must be a list of numbers, got ('a',)"),
+        ("qstate", {"expr": None}, "f must be a string, got None"),
+    ],
+)
+def test_ill_typed_config_values_fail_up_front(command, spec, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_sphere", lambda *a, **k: pytest.fail("built a mesh before the type check"))
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the type check"))
+    assert run([command, "--spec", write_spec(tmp_path, **dict(SMALL, **spec))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_string_fields_may_be_null_only_where_documented():
+    ExperimentConfig(a=None, out=None).validate()
+    with pytest.raises(ConfigError, match="norm must be a string, got None"):
+        ExperimentConfig(norm=None).validate()
+    with pytest.raises(ConfigError, match=r"out must be a string or null, got 3"):
+        ExperimentConfig(out=3).validate()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [(("expr", "x"), ("f", "x+1")), (("f", "x+1"), ("expr", "x")), (("n", 3), ("n_max", 4))],
+)
+def test_a_field_set_twice_through_an_alias_is_rejected(keys, tmp_path, capsys):
+    (first, _), (second, _) = keys
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict((("level", 3),) + keys)))
+    assert run(["qstate", "--spec", str(path)]) == 1
+    field = "f" if "f" in (first, second) else "n_max"
+    assert capsys.readouterr().err == f"error: {path}: {first!r} and {second!r} both set {field!r}\n"
+
+
+def test_out_in_a_missing_directory_fails_before_any_mesh(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_sphere", lambda *a, **k: pytest.fail("built a mesh first"))
+    out = str(tmp_path / "no" / "such" / "t")
+    assert run(["qn", "--level", "3", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
+def test_a_table_that_cannot_be_written_raises_a_config_error(tmp_path):
+    target = tmp_path / "taken.csv"
+    target.mkdir()
+    with pytest.raises(ConfigError, match=f"^{target}: Is a directory$"):
+        ResultTable(("op",), [("x",)], {}).write(str(target))
+
+
+def test_remainder_sidecar_carries_the_sweep(tmp_path):
+    t_grid = [0.025 * 2**-k for k in range(4)]
+    spec = write_spec(tmp_path, manifold="torus", torus_n=16, f="sin(2*pi*q)", g="sin(2*pi*p)",
+                      t_grid=t_grid, out=str(tmp_path / "rem"))
+    assert run(["remainder", "--spec", spec, "--order", "2"]) == 0
+    sweep = json.loads((tmp_path / "rem.json").read_text())["sweep"]
+    assert set(sweep) == {"generation", "q_n", "rows", "kappa_max", "exponent"}
+    assert [row["t"] for row in sweep["rows"]] == t_grid
+    summary = (tmp_path / "rem.csv").read_text().splitlines()[-1].split(",")
+    assert (sweep["generation"], sweep["exponent"]) == (int(summary[4]), float(summary[6]))
+
+
+# ---------------------------------------------------------------------------
+# Invariant failures
+# ---------------------------------------------------------------------------
+
+
+def test_extremal_demo_out_of_tolerance_exits_two(tmp_path, capsys, monkeypatch):
+    from symflow.reeb import PiDefect
+
+    monkeypatch.setattr(cli, "pi_defect", lambda f, g: PiDefect(1.5, 0.2, 0.9, 0.8))
+    out = tmp_path / "demo"
+    assert run(["extremal-demo", "--level", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "zeta(F)   = +0.900000   (expected +1 within 0.05)\n"
+        "zeta(G)   = +0.800000   (expected +1 within 0.05)\n"
+        "zeta(F+G) = +0.200000   (expected  0 within 0.05)\n"
+        "defect    = +1.500000   (expected +2 within 0.05)\n"
+    )
+    assert captured.err == "invariant violated: extremal demo values left their tolerance windows\n"
+    assert not list(tmp_path.iterdir())
