@@ -161,9 +161,15 @@ _CONFIG_ALIASES = {"expr": "f", "n": "n_max"}
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a JSON config file, with line/column info on parse failures."""
+    def unique_keys(pairs):  # json.load alone keeps the last value of a repeated key
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"{path}: {next(k for k in keys if keys.count(k) > 1)!r} set twice")
+        return dict(pairs)
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:

@@ -35,7 +35,7 @@ from .bracket import FOUR_PI, BracketTable, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
 from .errors import DegenerateInputError, InterpolationDominatesWarning, NoConvergenceError
 from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
-from .expr import compile_evaluator
+from .expr import Const, compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
 from .scheme import DEFAULT_T_GRID, SplittingScheme
 
@@ -71,9 +71,9 @@ __all__ = [
 # Atomic exact flows
 #
 # ``fold_jacobian(acc, pts)`` is the running inverse Jacobian ``acc`` (None for
-# the identity) times the step's inverse Jacobian at ``pts``, in closed form: a
-# unit triangular shear updates one column of the n x 2 x 2 stack in place; a
-# rotation multiplies by one constant 3 x 3 matrix.
+# the identity) times the step's at ``pts``, in closed form: a unit triangular
+# shear updates one column of the n x 2 x 2 stack in place; a rotation multiplies
+# by its 3 x 3 matrix.  Times may be per row (a rotation then has a matrix per row).
 # ---------------------------------------------------------------------------
 
 
@@ -91,17 +91,19 @@ class _Identity:
 class _Rotation:
     """Rotation by ``4 pi |axis| * t`` about ``axis`` (right-hand rule)."""
 
-    def __init__(self, axis: np.ndarray, t: float):
+    def __init__(self, axis: np.ndarray, t):
         self.axis = np.asarray(axis, dtype=float)
-        self.t = float(t)
-        theta = FOUR_PI * np.linalg.norm(self.axis) * self.t
+        self.t = t
+        theta = FOUR_PI * np.linalg.norm(self.axis) * t
         n = self.axis / np.linalg.norm(self.axis)
         k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-        self.matrix = np.eye(3) + math.sin(theta) * k + (1 - math.cos(theta)) * (k @ k)
-        self._jac_inv = np.ascontiguousarray(self.matrix.T)  # a transposed view would change einsum's rounding
+        sin, cos = (np.sin, np.cos) if np.ndim(t) else (math.sin, math.cos)
+        theta = theta[:, None, None] if np.ndim(t) else theta
+        self.matrix = np.eye(3) + sin(theta) * k + (1 - cos(theta)) * (k @ k)
+        self._jac_inv = np.ascontiguousarray(np.swapaxes(self.matrix, -1, -2))  # a view would round differently
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix.T
+        return np.einsum("nij,nj->ni", self.matrix, pts) if self.matrix.ndim == 3 else pts @ self.matrix.T
 
     def fold_jacobian(self, acc, pts: np.ndarray) -> np.ndarray:
         return self._jac_inv if acc is None else acc @ self._jac_inv
@@ -120,11 +122,11 @@ class _Shear:
     columns.
     """
 
-    def __init__(self, axis: str, rate_fn, curv_fn, t: float):
+    def __init__(self, axis: str, rate_fn, curv_fn, t):
         self.axis = axis
         self.rate_fn = rate_fn
         self.curv_fn = curv_fn
-        self.t = float(t)
+        self.t = t
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         out = pts.copy()
@@ -318,7 +320,9 @@ def _velocity_fn(field: ScalarField):
     """
     mesh = field.mesh
     if field.expr is not None:
-        grads = [_compiled(field.expr.diff(v)) for v in mesh.coord_names]
+        # a partial folded to the constant +0 would give +0 at every finite point: the float 0.0 rounds the same
+        grads = [(lambda pts: 0.0) if d.root == Const(0.0) and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
+                 for d in map(field.expr.diff, mesh.coord_names)]
     else:
         if mesh.kind == "torus":
             partials = _torus_partials(mesh, field.values)
@@ -327,8 +331,18 @@ def _velocity_fn(field: ScalarField):
         grads = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
     if mesh.kind == "torus":
         gq, gp = grads
-        return lambda pts: np.column_stack([gp(pts), -gq(pts)])
-    return lambda pts: FOUR_PI * np.cross(np.column_stack([d(pts) for d in grads]), pts)
+
+        def torus_velocity(pts: np.ndarray) -> np.ndarray:
+            out = np.empty(pts.shape)
+            out[:, 0], out[:, 1] = gp(pts), -gq(pts)
+            return out
+        return torus_velocity
+
+    def sphere_velocity(pts: np.ndarray) -> np.ndarray:  # 4 pi grad H x p in the products np.cross takes
+        (dx, dy, dz), (x, y, z) = [d(pts) for d in grads], pts.T
+        return FOUR_PI * np.stack([dy * z - dz * y, dz * x - dx * z, dx * y - dy * x], axis=1)
+
+    return sphere_velocity
 
 
 class StaticHamiltonian:
@@ -348,7 +362,7 @@ class StaticHamiltonian:
 
 
 class LinearPathHamiltonian:
-    """Time-dependent combination ``sum_j c_j(s) * field_j`` of analytic fields."""
+    """Time-dependent ``sum_j c_j(s) * field_j`` of analytic fields; ``c_j`` takes a float or per-row ``s``."""
 
     def __init__(self, terms: Sequence[tuple[Callable[[float], float], ScalarField]]):
         if not terms:
@@ -365,10 +379,10 @@ class LinearPathHamiltonian:
             total += coef_fn(s) * value(pts)
         return total
 
-    def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
+    def velocity(self, pts: np.ndarray, s) -> np.ndarray:
         total = np.zeros_like(pts)
         for coef_fn, _, velocity in self._evaluators:
-            total += coef_fn(s) * velocity(pts)
+            total += np.expand_dims(coef_fn(s), -1) * velocity(pts)  # one coefficient per row
         return total
 
 
@@ -435,17 +449,25 @@ class CocycleGenerator:
         self.g = g
         self.mesh_kind = f.mesh.kind
         self.stages = _stages(scheme, _StageHamiltonian(f, velocity=True), _StageHamiltonian(g, velocity=True))
+        self._flows_at, self._flows = None, []  # inverse stage flows at the stage time _flows_at
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
         return _pullback_sum(self.stages, pts, s)
 
-    def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
+    def velocity(self, pts: np.ndarray, s) -> np.ndarray:
+        """Vector field at ``s``: a float, or an array with one time per row of ``pts``.
+
+        A row gives what its float gives (on the sphere within rounding: it has its own
+        rotation matrix).  Stage flows are kept per unchangeable ``s``: a float or read-only array.
+        """
         total = np.zeros(pts.shape)
+        moved = isinstance(s, np.ndarray) or s != 0.0
+        if moved and (s is not self._flows_at or isinstance(s, np.ndarray) and s.flags.writeable):
+            self._flows_at, self._flows = s, [h.flow(-coef * s) for coef, h in self.stages[:-1]]
         current, inv_jac = pts, None
         for i, (coef, h) in enumerate(self.stages):
-            if i and s != 0.0:
-                prev_coef, prev = self.stages[i - 1]
-                step = prev.flow(-prev_coef * s)
+            if i and moved:
+                step = self._flows[i - 1]
                 inv_jac = step.fold_jacobian(inv_jac, current)
                 current = step.apply(current)
             vel = h.velocity(current)
@@ -458,23 +480,39 @@ class CocycleGenerator:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(ham, points: np.ndarray, t: float, nsteps: int) -> np.ndarray:
-    pts = np.array(points, dtype=float)
-    h = t / nsteps
-    s = 0.0
+def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
+    """Classical RK4 over ``[0, t]`` in ``nsteps`` steps; sequences of ``t``, ``nsteps`` stack groups.
+
+    One loop runs every group on all of ``points``, each row with its own step and stage time
+    ``s`` (read-only; the float 0.0 at the first k1), so a row rounds as a run on its own would.
+    """
+    start = np.array(points, dtype=float)
+    ts, ns = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(nsteps))
+    groups = sorted(zip(ns.ravel().tolist(), ts.ravel().tolist(), range(ns.size)))  # the next to leave heads the rows
+    m = len(start)
+    h, pts = np.repeat([tg / n for n, tg, _ in groups], m), np.tile(start, (len(groups), 1))
+    out = np.empty((len(groups),) + start.shape)
     sphere = ham.mesh_kind == "sphere"
-    for _ in range(nsteps):
-        k1 = ham.velocity(pts, s)
-        k2 = ham.velocity(pts + 0.5 * h * k1, s + 0.5 * h)
-        k3 = ham.velocity(pts + 0.5 * h * k2, s + 0.5 * h)
-        k4 = ham.velocity(pts + h * k3, s + h)
-        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if sphere:
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        s += h
+    s, done = 0.0, 0
+    for n, _, group in groups:
+        col = h[:, None]
+        for _ in range(done, n):
+            mid, end = s + 0.5 * h, s + h
+            mid.flags.writeable = end.flags.writeable = False
+            k1 = ham.velocity(pts, s)
+            k2 = ham.velocity(pts + 0.5 * col * k1, mid)
+            k3 = ham.velocity(pts + 0.5 * col * k2, mid)
+            k4 = ham.velocity(pts + col * k3, end)
+            pts = pts + (col / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if sphere:
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            s = end
+        done = max(done, n)
+        out[group], pts, h = pts[:m], pts[m:], h[m:]
+        s = s[m:] if np.ndim(s) else s
     if ham.mesh_kind == "torus":
-        pts %= 1.0
-    return pts
+        out %= 1.0
+    return out.reshape(ts.shape + start.shape)
 
 
 @dataclass
@@ -522,13 +560,14 @@ def reference_flow(
     min_steps: int = 16,
     max_steps: int = 1 << 17,
 ) -> ReferenceFlow:
-    """Integrate the Hamiltonian vector field with step halving.
+    """Integrate the Hamiltonian vector field with step doubling.
 
-    The classical fourth-order one-step method is run with ``n`` and
-    ``2n`` steps on a probe set until the endpoint gap is at most
-    ``tol``; the observed gap is kept as the error estimate, and a copy
-    of the probes and the endpoints of the final run are kept on the
-    returned :class:`ReferenceFlow`.
+    RK4 runs with ``min_steps``, twice as many, and so on, on a probe set; the first
+    run within ``tol`` of the one before is kept, with that gap as the error estimate,
+    a copy of the probes and its endpoints.  One :func:`_rk4` loop runs the first two
+    levels, the next as many more as the h^4 law (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, II.4) predicts from the last gap, and so on; scanned in order, an overshoot
+    costs time, not identity.  ``h`` gets ``s`` as an array of per-row times.
 
     Raises
     ------
@@ -539,17 +578,18 @@ def reference_flow(
     if probes is None:
         probes = default_probes(ham.mesh_kind, n=48, seed=777)
     probes = np.array(probes, dtype=float)
-    n = min_steps
-    prev = _rk4(ham, probes, t, n)
+    batch, prev = [min_steps, 2 * min_steps], None
     while True:
-        n *= 2
-        cur = _rk4(ham, probes, t, n)
-        gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
-        if gap <= tol:
-            return ReferenceFlow(ham, t, n, ham.mesh_kind, gap, probes, cur)
-        if n >= max_steps:
-            raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
-        prev = cur
+        for n, cur in zip(batch, _rk4(ham, probes, t, batch)):
+            if prev is not None:
+                gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
+                if gap <= tol:
+                    return ReferenceFlow(ham, t, n, ham.mesh_kind, gap, probes, cur)
+                if n >= max_steps:
+                    raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
+            prev = cur
+        more = max(1, math.ceil(math.log(gap / tol, 16))) if tol > 0.0 and math.isfinite(gap / tol) else 1
+        batch = [n * 2**j for j in range(1, more + 1) if n * 2 ** (j - 1) < max_steps]
 
 
 def reference_endpoints(
@@ -567,12 +607,11 @@ def reference_endpoints(
     ham = StaticHamiltonian(f_plus_g)
     t_max = max(t_list)
     ref = reference_flow(ham, t_max, tol=tol, probes=probes)
-    out = {}
-    for t in t_list:
-        nsteps = max(16, int(math.ceil(ref.nsteps * t / t_max)))
-        est = max(ref.error_estimate * (t / t_max), 1e-15)
-        out[t] = (ref.apply(probes) if t == t_max else _rk4(ham, probes, t, nsteps), est)
-    return out
+    rest = [t for t in t_list if t != t_max]
+    nsteps = [max(16, math.ceil(ref.nsteps * t / t_max)) for t in rest]
+    ends = dict(zip(rest, _rk4(ham, probes, rest, nsteps)))
+    ends[t_max] = ref.apply(probes)
+    return {t: (ends[t], max(ref.error_estimate * (t / t_max), 1e-15)) for t in t_list}
 
 
 # ---------------------------------------------------------------------------

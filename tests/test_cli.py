@@ -526,6 +526,14 @@ def test_a_field_set_twice_through_an_alias_is_rejected(keys, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: {first!r} and {second!r} both set {field!r}\n"
 
 
+def test_a_key_written_twice_is_rejected_before_any_mesh(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before the key check"))
+    path = tmp_path / "spec.json"
+    path.write_text('{"level": 3, "f": "x", "f": "x+1"}')
+    assert run(["qstate", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: 'f' set twice\n"
+
+
 def test_out_in_a_missing_directory_fails_before_any_mesh(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_sphere", lambda *a, **k: pytest.fail("built a mesh first"))
     out = str(tmp_path / "no" / "such" / "t")

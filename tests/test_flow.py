@@ -34,6 +34,7 @@ from symflow.flow import (
     remainder_norm,
     remainder_ratio_sweep,
 )
+from symflow.expr import compile_evaluator
 from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
 from symflow.scheme import SplittingScheme, lie_trotter, strang, yoshida
 
@@ -292,6 +293,149 @@ def test_reference_endpoints_reuse_the_calibration_at_the_largest_t(torus_pair):
     assert np.array_equal(ends[0.1][0], flow._rk4(ref.ham, pts, 0.1, ref.nsteps))
     half = max(16, math.ceil(ref.nsteps * 0.05 / 0.1))
     assert np.array_equal(ends[0.05][0], flow._rk4(ref.ham, pts, 0.05, half))
+
+
+# ---------------------------------------------------------------------------
+# Batched reference runs and step prediction
+# ---------------------------------------------------------------------------
+
+
+def _sequential_doubling(ham, t, tol, probes, min_steps=16, max_steps=1 << 17):
+    """Test-only reference for ``reference_flow``: one ``_rk4`` run per doubling, in turn."""
+    n = min_steps
+    prev = flow._rk4(ham, probes, t, n)
+    while True:
+        n *= 2
+        cur = flow._rk4(ham, probes, t, n)
+        gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
+        if gap <= tol:
+            return n, gap, cur
+        if n >= max_steps:
+            raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
+        prev = cur
+
+
+@pytest.fixture(scope="module")
+def path_pair():
+    """The linear-path pair of acceptance test 9: static u and u + s^2 w on the level-3 sphere."""
+    mesh = build_sphere(3)
+    u, w = sample(mesh, "x + 0.4*y"), sample(mesh, "0.5*z")
+    return (LinearPathHamiltonian([(lambda s: 1.0, u)]),
+            LinearPathHamiltonian([(lambda s: 1.0, u), (lambda s: s * s, w)]))
+
+
+def _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair):
+    f, g = torus_pair
+    return {
+        "torus-lie-trotter": lambda: CocycleGenerator(lie_trotter(), f, g),
+        "torus-strang": lambda: CocycleGenerator(strang(), f, g),
+        "torus-yoshida4": lambda: CocycleGenerator(yoshida(4), f, g),
+        "torus-static": lambda: StaticHamiltonian(f + g),
+        "sphere-static": lambda: StaticHamiltonian(sample(sphere, "x*y + 0.5*z^2")),
+        "sphere-yoshida4": lambda: CocycleGenerator(yoshida(4), *sphere_pair),
+        "sphere-path": lambda: path_pair[1],
+    }[kind]()
+
+
+@pytest.mark.parametrize(
+    "kind,t,tol",
+    [
+        ("torus-lie-trotter", 0.2, 1e-9),
+        ("torus-strang", 0.2, 1e-10),
+        ("torus-strang", 0.45, 1e-8),
+        ("torus-yoshida4", 0.05, 1e-11),
+        ("torus-static", 0.2, 1e-11),
+        ("sphere-static", 0.3, 1e-10),
+        ("sphere-path", 0.05, 1e-12),
+    ],
+)
+def test_calibration_matches_the_sequential_doubling(kind, t, tol, torus_pair, sphere_pair, sphere, path_pair):
+    ham = _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair)
+    pts = default_probes(ham.mesh_kind, 12, seed=22)
+    ref = reference_flow(ham, t, tol=tol, probes=pts)
+    nsteps, gap, ends = _sequential_doubling(ham, t, tol, pts)
+    assert (ref.nsteps, ref.error_estimate) == (nsteps, gap)
+    assert np.array_equal(ref.endpoints, ends)
+
+
+def test_an_overshooting_prediction_keeps_the_first_converged_level(torus_pair, monkeypatch):
+    """Yoshida 4 at tol 1e-8: the h^4 law asks for 512 steps, doubling stops at 256."""
+    gen = CocycleGenerator(yoshida(4), *torus_pair)
+    pts = default_probes("torus", 24, seed=5)
+    batches, rk4 = [], flow._rk4
+    monkeypatch.setattr(flow, "_rk4", lambda ham, p, t, n: batches.append(list(n)) or rk4(ham, p, t, n))
+    ref = reference_flow(gen, 0.2, tol=1e-8, probes=pts)
+    monkeypatch.setattr(flow, "_rk4", rk4)
+    assert batches == [[16, 32], [64, 128, 256, 512]]
+    nsteps, gap, ends = _sequential_doubling(gen, 0.2, 1e-8, pts)
+    assert (ref.nsteps, ref.error_estimate) == (nsteps, gap) == (256, gap)
+    assert np.array_equal(ref.endpoints, ends)
+
+
+@pytest.mark.parametrize("kind,max_steps", [("torus-yoshida4", 100), ("sphere-static", 64), ("sphere-path", 256)])
+def test_the_step_budget_raises_as_the_sequential_doubling_does(kind, max_steps, torus_pair, sphere_pair, sphere,
+                                                                 path_pair):
+    ham = _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair)
+    pts = default_probes(ham.mesh_kind, 8, seed=23)
+    with pytest.raises(NoConvergenceError) as want:
+        _sequential_doubling(ham, 0.45, 1e-16, pts, max_steps=max_steps)
+    with pytest.raises(NoConvergenceError) as got:
+        reference_flow(ham, 0.45, tol=1e-16, probes=pts, max_steps=max_steps)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "kind", ["torus-strang", "torus-static", "sphere-static", "sphere-yoshida4", "sphere-path"]
+)
+def test_a_multi_group_run_equals_separate_runs(kind, torus_pair, sphere_pair, sphere, path_pair):
+    ham = _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair)
+    pts = default_probes(ham.mesh_kind, 7, seed=24)
+    ts, ns = [0.2, 0.05, 0.2, 0.1], [16, 24, 40, 16]
+    stacked = flow._rk4(ham, pts, ts, ns)
+    assert stacked.shape == (4,) + pts.shape
+    for ends, t, n in zip(stacked, ts, ns):
+        assert np.array_equal(ends, flow._rk4(ham, pts, t, n))
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_per_row_stage_times_give_each_row_its_float_velocity(surface, torus_pair, sphere_pair):
+    gen = CocycleGenerator(yoshida(4), *(torus_pair if surface == "torus" else sphere_pair))
+    pts = default_probes(gen.mesh_kind, 6, seed=25)
+    s = np.array([0.0, 0.13, 0.3, 0.013, 0.45, 0.2])
+    rows = np.array([gen.velocity(pts[i:i + 1], float(s[i]))[0] for i in range(len(s))])
+    if surface == "torus":
+        assert np.array_equal(gen.velocity(pts, s), rows)
+    else:
+        assert np.max(np.abs(gen.velocity(pts, s) - rows)) <= 1e-14
+    fresh = gen.velocity(pts, s[::-1].copy())
+    gen.velocity(pts, s)
+    s[:] = s[::-1].copy()  # a writeable array changed in place gets new stage flows
+    assert np.array_equal(gen.velocity(pts, s), fresh)
+
+
+def test_kept_endpoints_of_a_sphere_generator_equal_a_fresh_run(sphere_pair):
+    gen = CocycleGenerator(strang(), *sphere_pair)
+    pts = default_probes("sphere", 12, seed=26)
+    ref = reference_flow(gen, 0.2, tol=1e-9, probes=pts)
+    assert np.array_equal(ref.apply(pts), flow._rk4(gen, pts, ref.t, ref.nsteps))
+
+
+def test_velocity_rounds_as_the_column_stack_and_cross_forms(torus, sphere):
+    """Filled columns and written-out cross products round as ``column_stack`` and ``np.cross`` did.
+
+    The p-partial of ``sin(2 pi q)`` folds to the constant +0 and is not evaluated.
+    """
+    for mesh, exprs in ((torus, ["0.3*sin(2*pi*q)", "0.2*cos(2*pi*p)", "sin(2*pi*q)*cos(2*pi*p) - q"]),
+                        (sphere, ["0.35*x", "0.3*x+0.1*y", "-z", "x*y + 0.5*z^2"])):
+        pts = default_probes(mesh.kind, 9, seed=27)
+        for text in exprs:
+            h = sample(mesh, text)
+            grads = [compile_evaluator(h.expr.diff(v))(*pts.T) for v in mesh.coord_names]
+            if mesh.kind == "torus":
+                want = np.column_stack([grads[1], -grads[0]])
+            else:
+                want = FOUR_PI * np.cross(np.column_stack(grads), pts)
+            assert StaticHamiltonian(h).velocity(pts, 0.0).tobytes() == want.tobytes(), text
 
 
 # ---------------------------------------------------------------------------
