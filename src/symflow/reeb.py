@@ -25,12 +25,14 @@ over the value band it spans, anchored on the arc of its middle vertex;
 whatever sticks out past the arc's ends is deposited on the bounding nodes.
 Arc masses are piecewise-linear cumulative profiles along the value axis,
 built for all arcs from one sort, so medians interpolate inside an arc.
+The tree keeps that flat form: node and edge columns, and every arc's
+profile as a slice of three shared arrays (see ``ReebGraph``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,8 +43,6 @@ from .manifold import ScalarField, SphereTri
 __all__ = [
     "NotASphereMeshError",
     "InvariantViolationError",
-    "ReebNode",
-    "ReebEdge",
     "ReebGraph",
     "MedianPoint",
     "PiDefect",
@@ -75,46 +75,6 @@ def tau(level: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReebNode:
-    """Critical point of the tree: an extremum (leaf) or a saddle.
-
-    ``atom`` is point mass parked exactly at the node; it collects the
-    overhang of triangle bands that extend past the ends of their arc.
-    """
-
-    id: int
-    vertex: int
-    value: float
-    atom: float = 0.0
-
-
-@dataclass
-class ReebEdge:
-    """Monotone arc between two nodes, with its mass profile.
-
-    ``knots`` are the ascending value breakpoints; ``cum_left[i]`` and
-    ``cum_right[i]`` are the cumulative mass just below and just at
-    ``knots[i]``, measured from the lower node.  A gap between the two is a
-    point mass sitting at that knot.
-    """
-
-    id: int
-    lower: int
-    upper: int
-    knots: np.ndarray
-    cum_left: np.ndarray
-    cum_right: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        return float(self.cum_right[-1])
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-
 @dataclass(frozen=True)
 class MedianPoint:
     """Balance point of the mass-weighted tree.
@@ -133,38 +93,47 @@ class MedianPoint:
 
 @dataclass
 class ReebGraph:
-    """Level-set tree of one field, with the area measure pushed onto it."""
+    """Level-set tree of one field, with the area measure pushed onto it.
 
-    nodes: list[ReebNode]
-    edges: list[ReebEdge]
+    Node ``i`` sits at vertex ``node_vertex[i]`` and carries the point mass
+    ``node_atom[i]``; edge ``j`` runs from node ``lower[j]`` up to node
+    ``upper[j]``.  Edge ``j``'s mass profile is the slice
+    ``start[j]:start[j + 1]`` of ``knots``, ``cum_left`` and ``cum_right``:
+    ascending values and the cumulative mass from the lower node just below
+    and just at each (a gap between the two is a point mass at that knot).
+    """
+
+    node_vertex: np.ndarray
+    node_value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    node_atom: np.ndarray
+    start: np.ndarray
+    knots: np.ndarray
+    cum_left: np.ndarray
+    cum_right: np.ndarray
     level: int
     constant: bool = False
     node_of_vertex: Optional[np.ndarray] = None
     edge_of_vertex: Optional[np.ndarray] = None
-    _adj: Optional[list[list[tuple[int, int]]]] = _field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.node_value.size
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.lower.size
 
-    def neighbors(self, node_id: int) -> list[tuple[int, int]]:
-        """Incident edges of a node as (edge_id, other_node_id) pairs."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-            for e in self.edges:
-                adj[e.lower].append((e.id, e.upper))
-                adj[e.upper].append((e.id, e.lower))
-            self._adj = adj
-        return self._adj[node_id]
+    @property
+    def edge_mass(self) -> np.ndarray:
+        """Mass of each edge: the last ``cum_right`` entry of its slice."""
+        return self.cum_right[self.start[1:] - 1]
 
     def total_mass(self) -> float:
-        return float(
-            sum(nd.atom for nd in self.nodes) + sum(e.mass for e in self.edges)
-        )
+        # Builtin sums add left to right; the qstate CSV prints this sum to
+        # 17 digits, and np.sum's pairwise order would change its last bits.
+        return float(sum(self.node_atom.tolist()) + sum(self.edge_mass.tolist()))
 
     def validate(self) -> None:
         """Check the tree and mass invariants, raising on violation."""
@@ -178,54 +147,50 @@ class ReebGraph:
             raise InvariantViolationError(
                 f"pushforward mass is {total!r}, expected 1 within 1e-9"
             )
-        for e in self.edges:
-            lo = self.nodes[e.lower].value
-            hi = self.nodes[e.upper].value
-            if not (e.knots[0] >= lo - 1e-12 and e.knots[-1] <= hi + 1e-12):
-                raise InvariantViolationError(
-                    f"edge {e.id} mass profile leaves its value interval"
-                )
-            if np.any(np.diff(e.knots) < 0) or np.any(np.diff(e.cum_right) < -1e-15):
-                raise InvariantViolationError(
-                    f"edge {e.id} cumulative profile is not monotone"
-                )
+        first, last = self.start[:-1], self.start[1:] - 1
+        outside = ~(self.knots[first] >= self.node_value[self.lower] - 1e-12)
+        outside |= ~(self.knots[last] <= self.node_value[self.upper] + 1e-12)
+        # A step between two knots of different edges is no step of a profile.
+        owner = np.repeat(np.arange(self.n_edges), np.diff(self.start))
+        falls = (np.diff(self.knots) < 0) | (np.diff(self.cum_right) < -1e-15)
+        falls &= owner[1:] == owner[:-1]
+        bad = np.concatenate([np.nonzero(outside)[0], owner[1:][falls]])
+        if bad.size:
+            e = int(bad.min())
+            raise InvariantViolationError(
+                f"edge {e} mass profile leaves its value interval" if outside[e]
+                else f"edge {e} cumulative profile is not monotone"
+            )
 
     def to_dot(self) -> str:
         """Graphviz rendering with values on nodes and masses on edges."""
         out = ["graph levelset_tree {", "  node [shape=circle];"]
-        for nd in self.nodes:
-            label = f"{nd.value:.6g}"
-            if nd.atom > 0:
-                label += f"\\natom {nd.atom:.3g}"
-            out.append(f'  n{nd.id} [label="{label}"];')
-        for e in self.edges:
-            out.append(f'  n{e.lower} -- n{e.upper} [label="{e.mass:.6g}"];')
+        for i, (value, atom) in enumerate(zip(self.node_value.tolist(), self.node_atom.tolist())):
+            label = f"{value:.6g}"
+            if atom > 0:
+                label += f"\\natom {atom:.3g}"
+            out.append(f'  n{i} [label="{label}"];')
+        for lw, up, mass in zip(self.lower.tolist(), self.upper.tolist(), self.edge_mass.tolist()):
+            out.append(f'  n{lw} -- n{up} [label="{mass:.6g}"];')
         out.append("}")
         return "\n".join(out)
 
     def to_json(self) -> str:
         """Deterministic JSON dump of topology, values, and masses."""
+        nodes = zip(self.node_vertex.tolist(), self.node_value.tolist(), self.node_atom.tolist())
+        first, last = self.start[:-1], self.start[1:] - 1
+        edges = zip(self.lower.tolist(), self.upper.tolist(), self.edge_mass.tolist(),
+                    self.knots[first].tolist(), self.knots[last].tolist())
         payload = {
             "level": self.level,
             "constant": self.constant,
             "nodes": [
-                {
-                    "id": nd.id,
-                    "vertex": nd.vertex,
-                    "value": nd.value,
-                    "atom": nd.atom,
-                }
-                for nd in self.nodes
+                {"id": i, "vertex": vertex, "value": value, "atom": atom}
+                for i, (vertex, value, atom) in enumerate(nodes)
             ],
             "edges": [
-                {
-                    "id": e.id,
-                    "lower": e.lower,
-                    "upper": e.upper,
-                    "mass": e.mass,
-                    "value_span": list(e.span),
-                }
-                for e in self.edges
+                {"id": j, "lower": lw, "upper": up, "mass": mass, "value_span": [k0, k1]}
+                for j, (lw, up, mass, k0, k1) in enumerate(edges)
             ],
         }
         return json.dumps(payload, sort_keys=True)
@@ -358,9 +323,9 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         raise ValueError("field values must be finite")
     n = mesh.n_points
     if vals.max() == vals.min():
+        zero, none, empty = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
         g = ReebGraph(
-            nodes=[ReebNode(0, 0, float(vals[0]), atom=1.0)],
-            edges=[],
+            zero, vals[:1].copy(), none, none, np.ones(1), zero, empty, empty, empty,
             level=mesh.level,
             constant=True,
             node_of_vertex=np.zeros(n, dtype=np.int64),
@@ -406,15 +371,9 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     e_upper[edge_of_vertex[top]] = node_of_vertex[above[top]]
     node_vals = vals[crit]
 
-    node_atom, edges = _deposit_mass(
-        mesh, vals, rank, node_vals, e_lower, e_upper, node_of_vertex, edge_of_vertex
-    )
-    node_rows = zip(crit.tolist(), node_vals.tolist(), node_atom.tolist())
-    nodes = [ReebNode(i, *row) for i, row in enumerate(node_rows)]
-
     g = ReebGraph(
-        nodes=nodes,
-        edges=edges,
+        crit, node_vals, e_lower, e_upper,
+        *_deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper, node_of_vertex, edge_of_vertex),
         level=mesh.level,
         node_of_vertex=node_of_vertex,
         edge_of_vertex=edge_of_vertex,
@@ -459,7 +418,9 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     one of width w = 0, or one whose density m / w would leave more than
     ``_DENSITY_ROUNDING`` of rounding, about 2 eps m R / w (R the field's
     range), in the running density sum.  All (edge, knot value) pairs are
-    sorted once; every edge's sums restart at zero.
+    sorted once; every edge's sums restart at zero.  Returns the node atoms
+    and the profiles in ``ReebGraph``'s CSR layout: ``start``, ``knots``,
+    ``cum_left`` and ``cum_right``.
     """
     n_nodes, n_edges = node_vals.size, e_lower.size
     tri = mesh.triangles
@@ -535,14 +496,7 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     cum_left = np.zeros(knots.size)
     cum_left[inner] = _segmented_cumsum(seg_mass, count - 1)
     cum_left += _segmented_cumsum(jumps, count) - jumps
-    cum_right = cum_left + jumps
-    edges = [
-        ReebEdge(e, lw, up, knots[i:j], cum_left[i:j], cum_right[i:j])
-        for e, (lw, up, i, j) in enumerate(
-            zip(e_lower.tolist(), e_upper.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
-        )
-    ]
-    return node_atom, edges
+    return node_atom, bounds, knots, cum_left, cum_left + jumps
 
 
 # ---------------------------------------------------------------------------
@@ -553,51 +507,60 @@ _EPS_TIE = 1e-12
 
 
 class _RootedTree(NamedTuple):
-    """A level-set tree rooted at node 0, per node: the mass of its closed
-    subtree, its parent node and the edge to its parent (-1 at the root)."""
+    """A level-set tree rooted at node 0: per node its incident (edge, other node) pairs
+    by edge id, its closed subtree's mass and its parent edge (-1 at the root)."""
 
-    sub: np.ndarray
-    parent: np.ndarray
-    parent_edge: np.ndarray
+    adj: list[list[tuple[int, int]]]
+    mass: list[float]
+    sub: list[float]
+    parent_edge: list[int]
 
 
-def _subtree_masses(g: ReebGraph) -> _RootedTree:
-    """Root the tree at node 0 and sum each node's closed subtree mass."""
+def _root(g: ReebGraph) -> _RootedTree:
+    """Root the tree at node 0 and sum each node's closed subtree mass, in
+    the breadth-first order that the incident edges' ids fix."""
     n = g.n_nodes
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (lw, up) in enumerate(zip(g.lower.tolist(), g.upper.tolist())):
+        adj[lw].append((eid, up))
+        adj[up].append((eid, lw))
+    mass = g.edge_mass.tolist()
+    parent = [-1] * n
+    parent[0] = 0  # marks the root as seen
+    parent_edge = [-1] * n
     bfs = [0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
     for u in bfs:
-        for eid, w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
+        for eid, w in adj[u]:
+            if parent[w] < 0:
                 parent[w] = u
                 parent_edge[w] = eid
                 bfs.append(w)
-    sub = np.array([nd.atom for nd in g.nodes])
-    for w in reversed(bfs):
-        p = parent[w]
-        if p >= 0:
-            sub[p] += sub[w] + g.edges[parent_edge[w]].mass
-    return _RootedTree(sub, parent, parent_edge)
+    sub = g.node_atom.tolist()
+    for w in reversed(bfs[1:]):
+        sub[parent[w]] += sub[w] + mass[parent_edge[w]]
+    return _RootedTree(adj, mass, sub, parent_edge)
 
 
-def _beyond(g: ReebGraph, rooted: _RootedTree, u: int, eid: int, w: int) -> float:
+def _beyond(tree: _RootedTree, u: int, eid: int, w: int) -> float:
     """Total mass strictly on the far side of node ``u`` through edge ``eid``."""
-    if rooted.parent[w] == u and rooted.parent_edge[w] == eid:
-        return float(rooted.sub[w] + g.edges[eid].mass)
-    return float(1.0 - rooted.sub[u])
+    if tree.parent_edge[w] == eid:  # then w is u's child
+        return tree.sub[w] + tree.mass[eid]
+    return 1.0 - tree.sub[u]
 
 
-def _solve_edge(e: ReebEdge, target: float) -> tuple[float, bool]:
-    """Value v on the edge with cumulative-from-lower mass equal to ``target``.
+def _profile(g: ReebGraph, eid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The knots, cum_left and cum_right slices of edge ``eid``."""
+    i, j = g.start[eid], g.start[eid + 1]
+    return g.knots[i:j], g.cum_left[i:j], g.cum_right[i:j]
+
+
+def _solve_edge(g: ReebGraph, eid: int, target: float) -> tuple[float, bool]:
+    """Value v on edge ``eid`` with cumulative-from-lower mass equal to ``target``.
 
     Returns (value, multi); multi marks a zero-density plateau where a whole
     value interval is admissible (the lowest value is reported).
     """
-    k, cl, cr = e.knots, e.cum_left, e.cum_right
+    k, cl, cr = _profile(g, eid)
     i = int(np.searchsorted(cr, target, side="left"))
     i = min(i, k.size - 1)
     if i > 0 and cl[i] >= target:
@@ -622,72 +585,69 @@ def median(g: ReebGraph) -> MedianPoint:
     the smallest node id and flagged.
     """
     if g.constant or g.n_nodes == 1:
-        return MedianPoint(value=g.nodes[0].value, node=0)
-    rooted = _subtree_masses(g)
+        return MedianPoint(value=float(g.node_value[0]), node=0)
+    tree = _root(g)
     cur = 0
     for _ in range(g.n_nodes + 1):
         over = None
-        for eid, w in g.neighbors(cur):
-            m = _beyond(g, rooted, cur, eid, w)
+        for eid, w in tree.adj[cur]:
+            m = _beyond(tree, cur, eid, w)
             if m > 0.5 + _EPS_TIE:
                 over = (eid, w, m)
                 break
         if over is None:
-            admissible = _tied_nodes(g, rooted, cur)
+            admissible = _tied_nodes(tree, cur)
             best = min(admissible)
-            return MedianPoint(
-                value=g.nodes[best].value, node=best, multi=len(admissible) > 1
-            )
+            return MedianPoint(float(g.node_value[best]), node=best, multi=len(admissible) > 1)
         eid, w, m = over
-        edge = g.edges[eid]
+        mass = tree.mass[eid]
         s_cur = 1.0 - m
-        if s_cur + edge.mass < 0.5 - _EPS_TIE:
+        if s_cur + mass < 0.5 - _EPS_TIE:
             cur = w
             continue
         t = 0.5 - s_cur
-        target = t if edge.lower == cur else edge.mass - t
-        value, multi = _solve_edge(edge, target)
-        _check_complements_at(g, rooted, edge, value)
+        target = t if g.lower[eid] == cur else mass - t
+        value, multi = _solve_edge(g, eid, target)
+        _check_complements_at(g, tree, eid, value)
         return MedianPoint(value=value, edge=eid, multi=multi)
     raise InvariantViolationError("median walk did not terminate")
 
 
-def _tied_nodes(g: ReebGraph, rooted: _RootedTree, start: int) -> set[int]:
+def _tied_nodes(tree: _RootedTree, start: int) -> set[int]:
     """Admissible nodes reachable from ``start`` through zero-mass edges."""
     tied = {start}
     frontier = [start]
     while frontier:
         u = frontier.pop()
-        for eid, w in g.neighbors(u):
-            if w in tied or g.edges[eid].mass > _EPS_TIE:
+        for eid, w in tree.adj[u]:
+            if w in tied or tree.mass[eid] > _EPS_TIE:
                 continue
-            if all(
-                _beyond(g, rooted, w, e2, o2) <= 0.5 + _EPS_TIE
-                for e2, o2 in g.neighbors(w)
-            ):
+            if all(_beyond(tree, w, e2, o2) <= 0.5 + _EPS_TIE for e2, o2 in tree.adj[w]):
                 tied.add(w)
                 frontier.append(w)
     return tied
 
 
-def _check_complements_at(g: ReebGraph, rooted: _RootedTree, edge: ReebEdge, value: float) -> None:
+def _check_complements_at(g: ReebGraph, tree: _RootedTree, eid: int, value: float) -> None:
     """Verify both sides of an interior median carry at most half the mass.
 
     An atom exactly at the median point belongs to neither side, hence the
     left/right cumulative split at coincident knots.
     """
-    lo_side = 1.0 - _beyond(g, rooted, edge.lower, edge.id, edge.upper)
-    hi_side = 1.0 - _beyond(g, rooted, edge.upper, edge.id, edge.lower)
-    k = edge.knots
+    lower, upper = int(g.lower[eid]), int(g.upper[eid])
+    lo_side = 1.0 - _beyond(tree, lower, eid, upper)
+    hi_side = 1.0 - _beyond(tree, upper, eid, lower)
+    mass = tree.mass[eid]
+    k, cl, cr = _profile(g, eid)
     j = int(np.searchsorted(k, value, side="left"))
     j = min(j, k.size - 1)
     if k[j] == value:
-        below = float(edge.cum_left[j])
-        above = float(edge.mass - edge.cum_right[j])
+        below = float(cl[j])
+        above = float(mass - cr[j])
     else:
-        dens = (edge.cum_left[j] - edge.cum_right[j - 1]) / (k[j] - k[j - 1])
-        below = float(edge.cum_right[j - 1] + dens * (value - k[j - 1]))
-        above = float(edge.mass - below)
+        dens = (cl[j] - cr[j - 1]) / (k[j] - k[j - 1])
+        below = float(cr[j - 1] + dens * (value - k[j - 1]))
+        above = float(mass - below)
     if lo_side + below > 0.5 + 1e-9 or hi_side + above > 0.5 + 1e-9:
         raise InvariantViolationError(
             "median point leaves a complement heavier than one half"

@@ -1,6 +1,7 @@
 """Level-set tree construction and the median quasi-state."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -16,9 +17,7 @@ from symflow.reeb import (
     InvariantViolationError,
     MedianPoint,
     NotASphereMeshError,
-    ReebEdge,
     ReebGraph,
-    ReebNode,
     build_reeb,
     median,
     pi_defect,
@@ -53,8 +52,8 @@ def test_height_tree_is_a_single_arc(sphere4):
     g = build_reeb(sample(sphere4, "z"))
     assert g.n_nodes == 2
     assert g.n_edges == 1
-    assert g.nodes[0].value == pytest.approx(-1.0, abs=0.05)
-    assert g.nodes[1].value == pytest.approx(1.0, abs=0.05)
+    assert g.node_value[0] == pytest.approx(-1.0, abs=0.05)
+    assert g.node_value[1] == pytest.approx(1.0, abs=0.05)
     assert g.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -80,7 +79,7 @@ def test_fold_median_lands_at_the_bottom_node(sphere4):
     g = build_reeb(sample(sphere4, "2*z^2"))
     m = median(g)
     assert abs(m.value) <= tau(4)
-    top = sorted((e.mass for e in g.edges), reverse=True)
+    top = sorted(g.edge_mass.tolist(), reverse=True)
     assert top[0] == pytest.approx(0.5, abs=0.05)
     assert top[1] == pytest.approx(0.5, abs=0.05)
 
@@ -116,7 +115,7 @@ def test_constant_field_collapses_to_one_node(sphere4):
     g = build_reeb(sample(sphere4, "0*x + 0.7"))
     assert g.constant
     assert g.n_nodes == 1 and g.n_edges == 0
-    assert g.nodes[0].atom == 1.0
+    assert g.node_atom[0] == 1.0
     m = median(g)
     assert m.node == 0 and m.value == 0.7
 
@@ -212,16 +211,30 @@ def test_defect_bounded_by_twice_the_larger_norm(sphere4):
 # ---------------------------------------------------------------------------
 
 
-def _flat_edge(eid, lower, upper, lo, hi, mass=0.0):
-    knots = np.array([lo, hi], dtype=float)
-    cum = np.array([0.0, mass])
-    return ReebEdge(eid, lower, upper, knots, cum.copy(), cum.copy())
+def _tree(values, atoms, edges):
+    """Hand-built graph with node i at vertex i; ``edges`` holds one
+    (lower, upper, knots, cum_left, cum_right) per edge."""
+    lower, upper, knots, cum_left, cum_right = zip(*edges) if edges else [()] * 5
+    return ReebGraph(
+        node_vertex=np.arange(len(values)),
+        node_value=np.array(values, dtype=float),
+        node_atom=np.array(atoms, dtype=float),
+        lower=np.array(lower, dtype=np.int64),
+        upper=np.array(upper, dtype=np.int64),
+        start=np.cumsum([0] + [len(k) for k in knots]),
+        knots=np.array([x for k in knots for x in k], dtype=float),
+        cum_left=np.array([x for c in cum_left for x in c], dtype=float),
+        cum_right=np.array([x for c in cum_right for x in c], dtype=float),
+        level=0,
+    )
+
+
+def _flat_edge(lower, upper, lo, hi, mass=0.0):
+    return lower, upper, [lo, hi], [0.0, mass], [0.0, mass]
 
 
 def test_tied_atoms_resolve_to_the_smallest_node_id():
-    nodes = [ReebNode(0, 0, -1.0, atom=0.5), ReebNode(1, 1, 1.0, atom=0.5)]
-    edges = [_flat_edge(0, 0, 1, -1.0, 1.0, mass=0.0)]
-    g = ReebGraph(nodes=nodes, edges=edges, level=0)
+    g = _tree([-1.0, 1.0], [0.5, 0.5], [_flat_edge(0, 1, -1.0, 1.0, mass=0.0)])
     m = median(g)
     assert m.node == 0
     assert m.multi
@@ -229,9 +242,7 @@ def test_tied_atoms_resolve_to_the_smallest_node_id():
 
 
 def test_dominant_atom_wins():
-    nodes = [ReebNode(0, 0, -1.0, atom=0.25), ReebNode(1, 1, 1.0, atom=0.75)]
-    edges = [_flat_edge(0, 0, 1, -1.0, 1.0, mass=0.0)]
-    g = ReebGraph(nodes=nodes, edges=edges, level=0)
+    g = _tree([-1.0, 1.0], [0.25, 0.75], [_flat_edge(0, 1, -1.0, 1.0, mass=0.0)])
     m = median(g)
     assert m.node == 1
     assert not m.multi
@@ -239,11 +250,7 @@ def test_dominant_atom_wins():
 
 
 def test_uniform_edge_median_interpolates():
-    nodes = [ReebNode(0, 0, 0.0), ReebNode(1, 1, 4.0)]
-    knots = np.array([0.0, 4.0])
-    cum = np.array([0.0, 1.0])
-    edges = [ReebEdge(0, 0, 1, knots, cum.copy(), cum.copy())]
-    g = ReebGraph(nodes=nodes, edges=edges, level=0)
+    g = _tree([0.0, 4.0], [0.0, 0.0], [_flat_edge(0, 1, 0.0, 4.0, mass=1.0)])
     m = median(g)
     assert m.edge == 0
     assert m.value == pytest.approx(2.0, abs=1e-12)
@@ -251,12 +258,8 @@ def test_uniform_edge_median_interpolates():
 
 def test_star_median_sits_at_the_hub():
     # three leaves with a third of the mass on each spoke
-    nodes = [ReebNode(0, 0, 0.0)] + [ReebNode(i, i, float(i)) for i in (1, 2, 3)]
-    edges = [_flat_edge(i - 1, 0, i, 0.0, float(i), mass=1.0 / 3.0) for i in (1, 2, 3)]
-    for e in edges:
-        e.cum_left[:] = [0.0, 1.0 / 3.0]
-        e.cum_right[:] = [0.0, 1.0 / 3.0]
-    g = ReebGraph(nodes=nodes, edges=edges, level=0)
+    edges = [_flat_edge(0, i, 0.0, float(i), mass=1.0 / 3.0) for i in (1, 2, 3)]
+    g = _tree([0.0, 1.0, 2.0, 3.0], [0.0] * 4, edges)
     m = median(g)
     assert m.node == 0
 
@@ -270,10 +273,161 @@ def test_median_leaves_only_declared_fields_on_the_graph(sphere4):
 
 
 def test_invariant_violation_is_detected():
-    nodes = [ReebNode(0, 0, 0.0, atom=0.4)]
-    g = ReebGraph(nodes=nodes, edges=[], level=0)
+    g = _tree([0.0], [0.4], [])
     with pytest.raises(InvariantViolationError):
         g.validate()
+
+
+# Edge 0 lies above edge 1, so both the knots and cum_right drop from edge
+# 0's last entry to edge 1's first: no profile step, nothing to report.
+_UPPER_EDGE = (1, 2, [1.0, 1.5, 2.0], [0.0, 0.25, 0.5], [0.0, 0.25, 0.5])
+_LOWER_EDGE = (0, 1, [0.0, 0.5, 1.0], [0.0, 0.25, 0.5], [0.0, 0.25, 0.5])
+
+
+def _with(edge, knots=None, cum_right=None):
+    lower, upper, k, cum_left, cr = edge
+    return lower, upper, knots or k, cum_left, cum_right or cr
+
+
+@pytest.mark.parametrize("atoms, edges, message", [
+    ([0.0] * 3, [_UPPER_EDGE],
+     "graph has 3 nodes and 1 edges; a level-set tree needs exactly nodes - edges = 1"),
+    ([0.0, 0.1, 0.0], [_UPPER_EDGE, _LOWER_EDGE],
+     "pushforward mass is 1.1, expected 1 within 1e-9"),
+    ([0.0] * 3, [_with(_UPPER_EDGE, knots=[0.5, 1.5, 2.0]), _LOWER_EDGE],
+     "edge 0 mass profile leaves its value interval"),
+    ([0.0] * 3, [_UPPER_EDGE, _with(_LOWER_EDGE, knots=[0.0, 0.5, 1.5])],
+     "edge 1 mass profile leaves its value interval"),
+    ([0.0] * 3, [_UPPER_EDGE, _with(_LOWER_EDGE, knots=[np.nan, 0.5, 1.0])],
+     "edge 1 mass profile leaves its value interval"),
+    ([0.0] * 3, [_with(_UPPER_EDGE, knots=[1.0, 1.8, 1.5]), _LOWER_EDGE],
+     "edge 0 cumulative profile is not monotone"),
+    ([0.0] * 3, [_UPPER_EDGE, _with(_LOWER_EDGE, cum_right=[0.0, 0.6, 0.5])],
+     "edge 1 cumulative profile is not monotone"),
+    # the first offending edge is named, whichever check it fails
+    ([0.0] * 3, [_with(_UPPER_EDGE, knots=[1.0, 1.8, 1.5]),
+                 _with(_LOWER_EDGE, knots=[-1.0, 0.5, 1.0])],
+     "edge 0 cumulative profile is not monotone"),
+], ids=["nodes-minus-edges", "mass", "knot-below", "knot-above", "nan-knot", "falling-knots",
+        "falling-cum-right", "first-edge-wins"])
+def test_every_invariant_violation_is_named(atoms, edges, message):
+    _tree([0.0, 1.0, 2.0], [0.0] * 3, [_UPPER_EDGE, _LOWER_EDGE]).validate()
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+        _tree([0.0, 1.0, 2.0], atoms, edges).validate()
+
+
+def _reference_median(g):
+    """The list-of-lists median walk over per-edge objects, rebuilt from the
+    columns: neighbours in increasing edge id, subtree masses in numpy."""
+    n = g.n_nodes
+    profiles = [(g.knots[i:j], g.cum_left[i:j], g.cum_right[i:j])
+                for i, j in zip(g.start[:-1].tolist(), g.start[1:].tolist())]
+    masses = [float(cr[-1]) for _, _, cr in profiles]
+    if g.constant or n == 1:
+        return MedianPoint(value=float(g.node_value[0]), node=0)
+    adj = [[] for _ in range(n)]
+    for eid, (lw, up) in enumerate(zip(g.lower.tolist(), g.upper.tolist())):
+        adj[lw].append((eid, up))
+        adj[up].append((eid, lw))
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    bfs = [0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    for u in bfs:
+        for eid, w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                parent_edge[w] = eid
+                bfs.append(w)
+    sub = np.array(g.node_atom.tolist())
+    for w in reversed(bfs):
+        p = parent[w]
+        if p >= 0:
+            sub[p] += sub[w] + masses[parent_edge[w]]
+
+    def beyond(u, eid, w):
+        if parent[w] == u and parent_edge[w] == eid:
+            return float(sub[w] + masses[eid])
+        return float(1.0 - sub[u])
+
+    def tied_nodes(start):
+        tied, frontier = {start}, [start]
+        while frontier:
+            u = frontier.pop()
+            for eid, w in adj[u]:
+                if w in tied or masses[eid] > 1e-12:
+                    continue
+                if all(beyond(w, e2, o2) <= 0.5 + 1e-12 for e2, o2 in adj[w]):
+                    tied.add(w)
+                    frontier.append(w)
+        return tied
+
+    def solve_edge(k, cl, cr, target):
+        i = min(int(np.searchsorted(cr, target, side="left")), k.size - 1)
+        if i > 0 and cl[i] >= target:
+            rise = cl[i] - cr[i - 1]
+            if rise > 1e-12 * max(1.0, cr[-1]):
+                frac = (target - cr[i - 1]) / rise
+                return float(k[i - 1] + frac * (k[i] - k[i - 1])), False
+            return float(k[i - 1]), bool(k[i] > k[i - 1])
+        multi = bool(cr[i] == target and i + 1 < k.size and cl[i + 1] <= target
+                     and k[i + 1] > k[i])
+        return float(k[i]), multi
+
+    cur = 0
+    for _ in range(n + 1):
+        over = None
+        for eid, w in adj[cur]:
+            m = beyond(cur, eid, w)
+            if m > 0.5 + 1e-12:
+                over = (eid, w, m)
+                break
+        if over is None:
+            admissible = tied_nodes(cur)
+            best = min(admissible)
+            return MedianPoint(value=float(g.node_value[best]), node=best,
+                               multi=len(admissible) > 1)
+        eid, w, m = over
+        s_cur = 1.0 - m
+        if s_cur + masses[eid] < 0.5 - 1e-12:
+            cur = w
+            continue
+        t = 0.5 - s_cur
+        target = t if g.lower[eid] == cur else masses[eid] - t
+        value, multi = solve_edge(*profiles[eid], target)
+        return MedianPoint(value=value, edge=eid, multi=multi)
+    raise AssertionError("reference median walk did not terminate")
+
+
+def test_median_matches_the_list_walk_it_replaces():
+    # Rounded fields have zero-mass edges next to the median node; multi
+    # medians do not occur on them, so two hand-built trees add a tie of
+    # atoms and an atom sitting on a flat stretch of an edge.
+    graphs = [
+        _tree([-1.0, 1.0], [0.5, 0.5], [_flat_edge(0, 1, -1.0, 1.0)]),
+        _tree([0.0, 2.0], [0.0, 0.0], [(0, 1, [0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.5, 0.5, 1.0])]),
+    ]
+    for level in (3, 4):
+        mesh = build_sphere(level)
+        rng = np.random.default_rng(level)
+        for _ in range(6):
+            f = sample(mesh, random_quadratic(rng)).values
+            for v in (np.round(3.0 * f), np.round(8.0 * f) / 8.0):
+                graphs.append(build_reeb(ScalarField(mesh, v)))
+    mesh = build_sphere(5)
+    graphs.append(build_reeb(ScalarField(mesh, np.random.default_rng(3).standard_normal(mesh.n_points))))
+    points = []
+    for g in graphs:
+        m, ref = median(g), _reference_median(g)
+        assert m == ref
+        assert np.float64(m.value).tobytes() == np.float64(ref.value).tobytes()
+        points.append(m)
+    assert points[0].multi and points[0].node == 0
+    assert points[1].multi and points[1].edge == 0
+    assert any(p.node is not None for p in points[2:])
+    assert any(p.edge is not None for p in points[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +672,15 @@ def test_array_pipeline_matches_the_per_vertex_reference(level):
     fields += [ScalarField(mesh, np.round(3 * x + 2 * y)), sample(mesh, "1 - 2*y^2")]
     for f in fields:
         g, ref = build_reeb(f), _reference_tree(f)
-        np.testing.assert_array_equal([nd.vertex for nd in g.nodes], ref["node_vertex"])
+        np.testing.assert_array_equal(g.node_vertex, ref["node_vertex"])
         np.testing.assert_array_equal(g.node_of_vertex, ref["node_of_vertex"])
         np.testing.assert_array_equal(g.edge_of_vertex, ref["edge_of_vertex"])
-        np.testing.assert_array_equal([e.lower for e in g.edges], ref["e_lower"])
-        np.testing.assert_array_equal([e.upper for e in g.edges], ref["e_upper"])
-        assert [nd.atom for nd in g.nodes] == ref["node_atom"].tolist()
-        assert len(g.edges) == len(ref["profiles"])
-        for e, (knots, cum_left, cum_right) in zip(g.edges, ref["profiles"]):
-            assert e.knots.tobytes() == knots.tobytes()
-            assert e.cum_left.tobytes() == cum_left.tobytes()
-            assert e.cum_right.tobytes() == cum_right.tobytes()
+        np.testing.assert_array_equal(g.lower, ref["e_lower"])
+        np.testing.assert_array_equal(g.upper, ref["e_upper"])
+        assert g.node_atom.tolist() == ref["node_atom"].tolist()
+        assert g.n_edges == len(ref["profiles"])
+        for j, (knots, cum_left, cum_right) in enumerate(ref["profiles"]):
+            s = slice(g.start[j], g.start[j + 1])
+            assert g.knots[s].tobytes() == knots.tobytes()
+            assert g.cum_left[s].tobytes() == cum_left.tobytes()
+            assert g.cum_right[s].tobytes() == cum_right.tobytes()
