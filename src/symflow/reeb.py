@@ -16,10 +16,10 @@ that additivity failure is what the bracket-norm machinery elsewhere in the
 package estimates from above.
 
 Construction is the join/split merge of Carr, Snoeyink & Axen (2003) with
-ties broken by vertex index, so rebuilding the same field is bit-identical.
-Two loops stay per vertex: the union-find sweeps, one find per run of
-earlier neighbours around a vertex, and the leaf peeling that merges the
-two trees; the rest is array code, with pointer doubling along chains.
+ties broken by vertex index, so rebuilding the same field is bit-identical;
+with the monotone paths of Chiang, Lenz, Lu & Rote (2005), the union-find
+sweeps and the leaf peeling loop over critical vertices only, and array code
+does the rest, binary lifting placing the regular vertices on the arcs.
 Triangle areas land on the tree by spreading each triangle's mass uniformly
 over the value band it spans, anchored on the arc of its middle vertex;
 whatever sticks out past the arc's ends is deposited on the bounding nodes.
@@ -142,6 +142,10 @@ class ReebGraph:
                 f"graph has {self.n_nodes} nodes and {self.n_edges} edges; "
                 "a level-set tree needs exactly nodes - edges = 1"
             )
+        s = self.start
+        if not (s.size == self.n_edges + 1 and s[0] == 0 and np.all(np.diff(s) > 0)
+                and s[-1] == self.knots.size == self.cum_left.size == self.cum_right.size):
+            raise InvariantViolationError("profile offsets do not cut one non-empty slice per edge")
         total = self.total_mass()
         if abs(total - 1.0) > 1e-9:
             raise InvariantViolationError(
@@ -211,48 +215,62 @@ class PiDefect:
 # ---------------------------------------------------------------------------
 
 
-def _merge_tree(corners: tuple[np.ndarray, ...], key: np.ndarray) -> np.ndarray:
-    """One merge-tree sweep over the vertices in increasing ``key``.
+def _merge_trees(corners: tuple[np.ndarray, ...], order: np.ndarray, rank: np.ndarray):
+    """Nodes, monotone-path extrema, and both merge trees over the nodes.
 
     ``corners`` holds one (v, x, y) per triangle corner, y following x
-    counter-clockwise around v, so v's corners chain into its link cycle.
-    Neighbours next to each other on that cycle share a mesh edge, so those
-    swept before v form runs that each lie in one component: one find per
-    run suffices.  A run starts at y when y is earlier and x is not; a
-    vertex whose whole link is earlier has one run.  The root of a
-    component is its latest vertex.  Returns ``parent``: parent[r] is the
-    vertex at which the component rooted at r joined a later one, or -1.
+    counter-clockwise around v.  Sweeping up (down), a run of earlier
+    neighbours starts at y when y is earlier and x is not, or is v's whole
+    link; v is regular iff it has one run each way (Banchoff 1967).  A path
+    stepping to any earlier neighbour ends at an extremum in its start's
+    component, so each run at a node joins its first vertex's extremum's
+    component.  Returns the node vertices by rank, each vertex's node id
+    (-1 if regular), its (maximum, minimum), and (join tree, split tree):
+    per node, the later node at which its component joined, or -1.
     """
     v, x, y = corners
-    n = key.size
-    kv = key[v]
-    early = key[y] < kv
-    whole = np.bincount(v[early], minlength=n) == np.bincount(v, minlength=n)
+    n = rank.size
+    early, x_early = rank[y] < rank[v], rank[x] < rank[v]
+    # Lower and upper runs alternate around the link: as many of each, and
+    # none at an extremum, whose whole link is earlier in one sweep.
+    runs = np.bincount(v[early & ~x_early], minlength=n)
+    crit = order[runs[order] != 1]
+    node = np.full(n, -1, dtype=np.int64)
+    node[crit] = np.arange(crit.size)
     some_corner = np.empty(n, dtype=np.int64)
     some_corner[v] = np.arange(v.size)
-    pick = np.concatenate([np.nonzero(early & (key[x] > kv))[0], some_corner[whole]])
-    pick = pick[np.argsort(kv[pick])]
-    parent = [-1] * n
-    root = list(range(n))
-    for w, u in zip(v[pick].tolist(), y[pick].tolist()):
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        if u != w:
-            parent[u] = w
-            root[u] = w
-    return np.asarray(parent, dtype=np.int64)
+    extremum = some_corner[runs == 0]
+    ends, trees = [], []
+    for key, below, start in ((-rank, ~early, ~early & x_early), (rank, early, early & ~x_early)):
+        end = np.arange(n)
+        end[v[below]] = y[below]
+        while not np.array_equal(nxt := end[end], end):
+            end = nxt
+        run = np.concatenate([np.nonzero(start & (runs[v] > 1))[0], extremum[below[extremum]]])
+        run = run[np.argsort(key[v[run]])]
+        parent, root = [-1] * crit.size, list(range(crit.size))
+        for w, u in zip(node[v[run]].tolist(), node[end[y[run]]].tolist()):
+            while root[u] != u:
+                root[u] = root[root[u]]
+                u = root[u]
+            if u != w:
+                parent[u] = w
+                root[u] = w
+        ends.append(end)
+        trees.append(np.asarray(parent, dtype=np.int64))
+    return crit, node, ends, trees
 
 
 def _contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combine the two merge trees into the arcs of the full level-set tree.
+    """Combine the two merge trees into the arcs of the level-set tree.
 
-    Standard leaf-peeling merge: a vertex with no children left in one tree
+    Standard leaf-peeling merge: a node with no children left in one tree
     and at most one in the other is pinched off along its pointer in the
     first tree, and contracted out of the second.  Each tree keeps, per
-    vertex, the number of children left and the sum of their ids, which is
+    node, the number of children left and the sum of their ids, which is
     the only child when one is left.  The arcs do not depend on the order
-    of peeling.  Returns the two endpoint arrays of the arcs.
+    of peeling.  Returns their endpoints oriented (peeled, kept): a tree
+    rooted at the node never peeled, as ``_place`` reads it.
     """
     n = jt_down.size
     down, up = jt_down.tolist(), st_up.tolist()
@@ -305,6 +323,48 @@ def _contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
+def _place(a: np.ndarray, b: np.ndarray, low: np.ndarray, high: np.ndarray,
+           below: np.ndarray) -> np.ndarray:
+    """The arc (index into ``a``) holding each regular vertex, by binary lifting.
+
+    parent[a] = b roots the tree.  A regular vertex lies on the rising path
+    from its minimum ``low`` to its maximum ``high``; nodes below ``below``
+    (ids follow rank) lie below it.  Lifting from ``low`` past nodes below it
+    and from ``high`` past nodes above it, one end stops under the ends'
+    common ancestor and the other at or over it: the deeper stop's parent
+    arc holds the vertex.
+    """
+    n = a.size + 1
+    parent = np.arange(n)
+    parent[a] = b
+    arc = np.zeros(n, dtype=np.int64)
+    arc[a] = np.arange(a.size)
+    # up[k]: 2**k-th ancestor (the root stays); hi[k], lo[k]: extremes passed.
+    up, hi, lo = [parent], [parent], [parent]
+    depth = (parent != np.arange(n)).astype(np.int64)
+    while not np.array_equal(nxt := up[-1][up[-1]], up[-1]):
+        depth = depth + depth[up[-1]]
+        hi.append(np.maximum(hi[-1], hi[-1][up[-1]]))
+        lo.append(np.minimum(lo[-1], lo[-1][up[-1]]))
+        up.append(nxt)
+    for step, top, bottom in zip(up[::-1], hi[::-1], lo[::-1]):
+        low = np.where(top[low] < below, step[low], low)
+        high = np.where(bottom[high] >= below, step[high], high)
+    return arc[np.where(depth[low] > depth[high], low, high)]
+
+
+def _check_placement(rank, node_vertex, lower, upper, node_of_vertex, edge_of_vertex):
+    """Raise unless each regular vertex, and no node, has an edge id, of an
+    edge whose end nodes bracket the vertex's rank."""
+    e = edge_of_vertex
+    on = (e >= 0) & (e < lower.size)
+    ends = rank[node_vertex[np.stack([lower, upper])[:, np.where(on, e, 0)]]]
+    bad = (on != (node_of_vertex < 0)) | on & ((ends[0] > rank) | (rank > ends[1]))
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise InvariantViolationError(f"vertex {v} is misplaced on edge {int(e[v])}")
+
+
 def build_reeb(f: ScalarField) -> ReebGraph:
     """Build the level-set tree of ``f`` with the area measure on it.
 
@@ -339,36 +399,20 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     rank[order] = np.arange(n)
     tri = mesh.triangles
     corners = (tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel())
-    a, b = _contour_arcs(_merge_tree(corners, -rank), _merge_tree(corners, rank))
-    lo = np.where(rank[a] < rank[b], a, b)
-    hi = a + b - lo
-
-    # A vertex with one arc below and one above is regular; the others are
-    # the nodes, numbered by rank.  Each arc leaving a node upward starts an
-    # edge, numbered by (rank of the node, rank of the arc's other end), and
-    # runs up a chain of regular vertices to the next node.
-    regular = (np.bincount(lo, minlength=n) == 1) & (np.bincount(hi, minlength=n) == 1)
-    crit = order[~regular[order]]
-    node_of_vertex = np.full(n, -1, dtype=np.int64)
-    node_of_vertex[crit] = np.arange(crit.size)
-    first = np.nonzero(~regular[lo])[0]
-    first = first[np.lexsort((rank[hi[first]], rank[lo[first]]))]
-    e_lower = node_of_vertex[lo[first]]
-    e_upper = node_of_vertex[hi[first]]
-    below = np.arange(n)
-    below[hi] = lo
-    above = np.arange(n)
-    above[lo] = hi
-    chained = regular[hi[first]]
-    start_edge = np.full(n, -1, dtype=np.int64)
-    start_edge[hi[first[chained]]] = np.nonzero(chained)[0]
-    # Pointer doubling down each chain to its first vertex.
-    bottom = np.where(regular & regular[below], below, np.arange(n))
-    while not np.array_equal(nxt := bottom[bottom], bottom):
-        bottom = nxt
-    edge_of_vertex = np.where(regular, start_edge[bottom], -1)
-    top = np.nonzero(regular & ~regular[above])[0]
-    e_upper[edge_of_vertex[top]] = node_of_vertex[above[top]]
+    crit, node_of_vertex, (highest, lowest), trees = _merge_trees(corners, order, rank)
+    a, b = _contour_arcs(*trees)
+    reg = order[node_of_vertex[order] < 0]
+    arc = _place(a, b, node_of_vertex[lowest[reg]], node_of_vertex[highest[reg]],
+                 np.searchsorted(rank[crit], rank[reg]))
+    # Edges are numbered by (lower node, rank of the lowest vertex above it).
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    first = rank[crit[upper]]
+    np.minimum.at(first, arc, rank[reg])
+    by_id = np.lexsort((first, lower))
+    e_lower, e_upper = lower[by_id], upper[by_id]
+    edge_of_vertex = np.full(n, -1, dtype=np.int64)
+    edge_of_vertex[reg] = np.argsort(by_id)[arc]
+    _check_placement(rank, crit, e_lower, e_upper, node_of_vertex, edge_of_vertex)
     node_vals = vals[crit]
 
     g = ReebGraph(

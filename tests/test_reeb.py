@@ -13,7 +13,8 @@ from scipy.sparse.csgraph import connected_components
 
 from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
 from symflow.reeb import (
-    _merge_tree,
+    _check_placement,
+    _merge_trees,
     InvariantViolationError,
     MedianPoint,
     NotASphereMeshError,
@@ -292,6 +293,13 @@ def _with(edge, knots=None, cum_right=None):
 @pytest.mark.parametrize("atoms, edges, message", [
     ([0.0] * 3, [_UPPER_EDGE],
      "graph has 3 nodes and 1 edges; a level-set tree needs exactly nodes - edges = 1"),
+    # an edge with no knots: its offsets would read its neighbours' entries
+    ([0.0, 0.5, 0.0], [(0, 1, [0.0, 1.0], [0.0, 0.5], [0.0, 0.5]), (1, 2, [], [], [])],
+     "profile offsets do not cut one non-empty slice per edge"),
+    ([0.0] * 3, [(0, 1, [0.0, 1.0], [0.0, 0.5], [0.0, 0.5]), (1, 2, [], [], [])],
+     "profile offsets do not cut one non-empty slice per edge"),
+    ([0.0] * 3, [_UPPER_EDGE, (0, 1, [0.0, 0.5, 1.0], [0.0, 0.5], [0.0, 0.25, 0.5])],
+     "profile offsets do not cut one non-empty slice per edge"),
     ([0.0, 0.1, 0.0], [_UPPER_EDGE, _LOWER_EDGE],
      "pushforward mass is 1.1, expected 1 within 1e-9"),
     ([0.0] * 3, [_with(_UPPER_EDGE, knots=[0.5, 1.5, 2.0]), _LOWER_EDGE],
@@ -308,8 +316,9 @@ def _with(edge, knots=None, cum_right=None):
     ([0.0] * 3, [_with(_UPPER_EDGE, knots=[1.0, 1.8, 1.5]),
                  _with(_LOWER_EDGE, knots=[-1.0, 0.5, 1.0])],
      "edge 0 cumulative profile is not monotone"),
-], ids=["nodes-minus-edges", "mass", "knot-below", "knot-above", "nan-knot", "falling-knots",
-        "falling-cum-right", "first-edge-wins"])
+], ids=["nodes-minus-edges", "empty-slice", "empty-slice-no-atoms", "short-cum-left", "mass",
+        "knot-below", "knot-above", "nan-knot", "falling-knots", "falling-cum-right",
+        "first-edge-wins"])
 def test_every_invariant_violation_is_named(atoms, edges, message):
     _tree([0.0, 1.0, 2.0], [0.0] * 3, [_UPPER_EDGE, _LOWER_EDGE]).validate()
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
@@ -501,15 +510,26 @@ def test_merge_trees_match_the_component_oracle(sphere3, ties):
         if ties:
             vals = np.round(3.0 * vals)
         rank = _ranks(vals)
-        # the join tree sweeps down (superlevel sets), the split tree up
-        for key in (-rank, rank):
-            parent = _merge_tree(_corners(sphere3), key)
+        crit, node, ends, trees = _merge_trees(_corners(sphere3), np.argsort(vals, kind="stable"), rank)
+        is_node = node >= 0
+        # the join tree sweeps down (superlevel sets) to maxima, the split tree up to minima
+        for key, end, parent in zip((-rank, rank), ends, trees):
             tu = np.nonzero(parent >= 0)[0]
+            tree_u, tree_v = crit[tu], crit[parent[tu]]
             for threshold in np.sort(key):
                 keep = key <= threshold
+                oracle = _component_min(n, keep, mu, mv)
+                # kept nodes share a component of the tree iff they share one of the mesh
+                kept = np.nonzero(keep & is_node)[0]
+                least_node = np.full(n, n)
+                np.minimum.at(least_node, oracle[kept], kept)
                 np.testing.assert_array_equal(
-                    _component_min(n, keep, tu, parent[tu]), _component_min(n, keep, mu, mv)
+                    _component_min(n, keep & is_node, tree_u, tree_v)[kept], least_node[oracle[kept]]
                 )
+                # and every kept vertex shares one with its extremum
+                held = np.nonzero(keep)[0]
+                assert keep[end[held]].all()
+                np.testing.assert_array_equal(oracle[end[held]], oracle[held])
 
 
 def _reference_merge_tree(indptr, indices, order):
@@ -662,15 +682,29 @@ def _reference_tree(f):
                 node_atom=node_atom, profiles=profiles)
 
 
-@pytest.mark.parametrize("level", [3, 4])
-def test_array_pipeline_matches_the_per_vertex_reference(level):
+def _reference_fields(level):
+    """Smooth, rounded (ties and plateaus), fold and noise fields on one sphere."""
     mesh = build_sphere(level)
     rng = np.random.default_rng(40 + level)
     x, y, z = mesh.points.T
     fields = [sample(mesh, random_quadratic(rng)) for _ in range(3)]
     fields += [ScalarField(mesh, np.round(3.0 * f.values)) for f in fields]
     fields += [ScalarField(mesh, np.round(3 * x + 2 * y)), sample(mesh, "1 - 2*y^2")]
-    for f in fields:
+    fields += [ScalarField(mesh, np.round(8.0 * f.values) / 8.0) for f in fields[:3]]
+    return fields + [ScalarField(mesh, rng.normal(size=mesh.n_points))]
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_link_runs_find_the_reference_nodes(level):
+    for f in _reference_fields(level):
+        vals = f.values
+        crit = _merge_trees(_corners(f.mesh), np.argsort(vals, kind="stable"), _ranks(vals))[0]
+        assert set(crit.tolist()) == set(_reference_tree(f)["node_vertex"].tolist())
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_array_pipeline_matches_the_per_vertex_reference(level):
+    for f in _reference_fields(level):
         g, ref = build_reeb(f), _reference_tree(f)
         np.testing.assert_array_equal(g.node_vertex, ref["node_vertex"])
         np.testing.assert_array_equal(g.node_of_vertex, ref["node_of_vertex"])
@@ -684,3 +718,31 @@ def test_array_pipeline_matches_the_per_vertex_reference(level):
             assert g.knots[s].tobytes() == knots.tobytes()
             assert g.cum_left[s].tobytes() == cum_left.tobytes()
             assert g.cum_right[s].tobytes() == cum_right.tobytes()
+
+
+def _misplace(g, rank, kind):
+    """A copy of ``g.edge_of_vertex`` with one vertex put on a wrong edge."""
+    eov = g.edge_of_vertex.copy()
+    lo, hi = rank[g.node_vertex[g.lower]], rank[g.node_vertex[g.upper]]
+    v = int(np.nonzero(eov >= 0)[0][0])
+    if kind == "outside-its-span":
+        eov[v] = next(j for j in range(g.n_edges) if not lo[j] < rank[v] < hi[j])
+    elif kind == "no-edge":
+        eov[v] = -1
+    elif kind == "past-the-last-edge":
+        eov[v] = g.n_edges
+    else:  # a node on an edge
+        v = int(g.node_vertex[1])
+        eov[v] = 0
+    return v, eov
+
+
+@pytest.mark.parametrize("kind", ["outside-its-span", "no-edge", "past-the-last-edge", "node"])
+def test_placement_check_names_the_misplaced_vertex(sphere4, kind):
+    f = sample(sphere4, "x*y*z + 0.1*x")
+    g, rank = build_reeb(f), _ranks(f.values)
+    columns = (rank, g.node_vertex, g.lower, g.upper, g.node_of_vertex)
+    _check_placement(*columns, g.edge_of_vertex)
+    v, eov = _misplace(g, rank, kind)
+    with pytest.raises(InvariantViolationError, match=f"^vertex {v} is misplaced on edge {eov[v]}$"):
+        _check_placement(*columns, eov)
