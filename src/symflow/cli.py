@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy  # loaded already, by manifold's scipy.spatial
 
 from . import __version__
 from .bracket import MAX_GENERATION, BracketTable, enumerate_monomials, poisson
@@ -63,6 +64,10 @@ _L1_CAVEAT = "open problem data, not a verified bound"
 
 #: Orders of the splitting schemes: Lie-Trotter, Strang and Yoshida's triple jumps.
 _SCHEME_ORDERS = (1, 2, 4, 6, 8)
+
+#: Where this process runs, for the sidecar's ``env``.
+_ENV = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "scipy": scipy.__version__,
+        "platform": sys.platform, "cpu_count": os.cpu_count()}
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +763,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         started = time.perf_counter()
         table, lines = _COMMANDS[args.command](cfg)
         table.meta["wall_time_s"] = time.perf_counter() - started
+        table.meta["env"] = _ENV
         for line in lines:
             print(line)
         if cfg.out:

@@ -286,19 +286,21 @@ def _py_source(node: Node) -> str:
     raise TypeError(f"unhandled node {node!r}")  # pragma: no cover
 
 
-def compile_evaluator(expr: "Expression"):
-    """Build a numpy-vectorized callable of the expression's variables.
+def compile_evaluator(*exprs: "Expression"):
+    """Build a numpy-vectorized callable of the expressions' variables.
 
     The callable takes one array per variable (positionally, in the
-    expression's variable order) and always returns an array of the
-    broadcast shape.  Used to take expression evaluation out of hot
+    variable order the expressions share) and always returns an array of
+    the broadcast shape, or for several expressions a tuple of them, one
+    per expression.  Used to take expression evaluation out of hot
     integration loops; no finiteness checks are performed, unlike
     :meth:`Expression.evaluate`.
     """
-    args = ", ".join(expr.variables)
-    body = f"({_py_source(expr.root)}) + 0.0 * {expr.variables[0]}"
-    fn = eval(f"lambda {args}: {body}", {"np": np, "__builtins__": {}})
-    fn.__doc__ = f"compiled: {expr}"
+    variables = exprs[0].variables
+    values = [f"({_py_source(e.root)}) + 0.0 * {variables[0]}" for e in exprs]
+    body = values[0] if len(exprs) == 1 else f"({', '.join(values)})"
+    fn = eval(f"lambda {', '.join(variables)}: {body}", {"np": np, "__builtins__": {}})
+    fn.__doc__ = "compiled: " + "; ".join(map(str, exprs))
     return fn
 
 

@@ -70,19 +70,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Atomic exact flows
 #
-# ``fold_jacobian(acc, pts)`` is the running inverse Jacobian ``acc`` (None for
-# the identity) times the step's at ``pts``, in closed form: a unit triangular
-# shear updates one column of the n x 2 x 2 stack in place; a rotation multiplies
-# by its 3 x 3 matrix.  Times may be per row (a rotation then has a matrix per row).
+# Each step maps an (n, d) point array (``apply``) and has an ``inverse``.  Times may
+# be per row (a rotation then has a matrix per row).  ``CocycleGenerator.velocity``
+# folds the steps' inverse Jacobians in closed form.
 # ---------------------------------------------------------------------------
 
 
 class _Identity:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return pts
-
-    def fold_jacobian(self, acc, pts: np.ndarray):
-        return acc
 
     def inverse(self) -> "_Identity":
         return self
@@ -105,9 +101,6 @@ class _Rotation:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return np.einsum("nij,nj->ni", self.matrix, pts) if self.matrix.ndim == 3 else pts @ self.matrix.T
 
-    def fold_jacobian(self, acc, pts: np.ndarray) -> np.ndarray:
-        return self._jac_inv if acc is None else acc @ self._jac_inv
-
     def inverse(self) -> "_Rotation":
         return _Rotation(self.axis, -self.t)
 
@@ -117,15 +110,15 @@ class _Shear:
 
     ``axis == "q"`` means ``H = f(q)``: the flow moves ``p`` by
     ``-t f'(q)``.  ``axis == "p"`` means ``H = g(p)``: ``q`` moves by
-    ``+t g'(p)``.  ``rate_fn`` and ``curv_fn`` are compiled evaluators
-    of the first and second derivative, taking the two coordinate
-    columns.
+    ``+t g'(p)``.  ``rate_fn`` is a compiled evaluator of the first
+    derivative and ``jet_fn`` one of the first and second together, both
+    taking the two coordinate columns.
     """
 
-    def __init__(self, axis: str, rate_fn, curv_fn, t):
+    def __init__(self, axis: str, rate_fn, jet_fn, t):
         self.axis = axis
         self.rate_fn = rate_fn
-        self.curv_fn = curv_fn
+        self.jet_fn = jet_fn
         self.t = t
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
@@ -137,19 +130,11 @@ class _Shear:
             out[:, 0] = (out[:, 0] + self.t * rate) % 1.0
         return out
 
-    def fold_jacobian(self, acc, pts: np.ndarray) -> np.ndarray:
-        if acc is None:
-            acc = np.zeros((pts.shape[0], 2, 2))
-            acc[:, 0, 0] = acc[:, 1, 1] = 1.0
-        curv = self.curv_fn(pts[:, 0], pts[:, 1])
-        if self.axis == "q":
-            acc[:, :, 0] += acc[:, :, 1] * (self.t * curv)[:, None]
-        else:
-            acc[:, :, 1] += acc[:, :, 0] * (-self.t * curv)[:, None]
-        return acc
+    def curv_fn(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self.jet_fn(q, p)[1]
 
     def inverse(self) -> "_Shear":
-        return _Shear(self.axis, self.rate_fn, self.curv_fn, -self.t)
+        return _Shear(self.axis, self.rate_fn, self.jet_fn, -self.t)
 
 
 @dataclass
@@ -233,12 +218,10 @@ def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
         p_only = _is_negligible(vq, scale)
         if q_only and p_only:
             return "identity", lambda tau: _Identity()
-        if q_only:
-            rate, curv = compile_evaluator(dq), compile_evaluator(dq.diff("q"))
-            return "shear-q", lambda tau: _Shear("q", rate, curv, tau)
-        if p_only:
-            rate, curv = compile_evaluator(dp), compile_evaluator(dp.diff("p"))
-            return "shear-p", lambda tau: _Shear("p", rate, curv, tau)
+        if q_only or p_only:
+            axis, rate = ("q", dq) if q_only else ("p", dp)
+            rate_fn, jet_fn = compile_evaluator(rate), compile_evaluator(rate, rate.diff(axis))
+            return f"shear-{axis}", lambda tau: _Shear(axis, rate_fn, jet_fn, tau)
         raise NotRecognizedError("torus field mixes q and p dependence")
     # sphere: require a linear form a*x + b*y + c*z (+ constant)
     partials = [h.expr.diff(v) for v in ("x", "y", "z")]
@@ -449,7 +432,8 @@ class CocycleGenerator:
         self.g = g
         self.mesh_kind = f.mesh.kind
         self.stages = _stages(scheme, _StageHamiltonian(f, velocity=True), _StageHamiltonian(g, velocity=True))
-        self._flows_at, self._flows = None, []  # inverse stage flows at the stage time _flows_at
+        self._flows_at, self._flows = None, []  # sphere: inverse stage flows at the stage time _flows_at
+        self._shears = [(coef, st) for coef, st in ((c, h.flow(0.0)) for c, h in self.stages) if isinstance(st, _Shear)]
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
         return _pullback_sum(self.stages, pts, s)
@@ -458,17 +442,41 @@ class CocycleGenerator:
         """Vector field at ``s``: a float, or an array with one time per row of ``pts``.
 
         A row gives what its float gives (on the sphere within rounding: it has its own
-        rotation matrix).  Stage flows are kept per unchangeable ``s``: a float or read-only array.
+        rotation matrix).  On the torus each shear stage makes one evaluator call, at its point
+        ``q, p`` of the walk: the rate gives the field, ``(0, -rate)`` for ``H = f(q)`` or
+        ``(rate, 0)`` for ``H = g(p)``, and the shear to the next point; the curvature folds
+        the inverse Jacobian ``[[a, b], [c, d]]``, four columns.  The last stage, and all at
+        ``s = 0``, need the rate only; identity stages add nothing.  On the sphere stage flows
+        are kept per unchangeable ``s``: a float or read-only array.
         """
         total = np.zeros(pts.shape)
         moved = isinstance(s, np.ndarray) or s != 0.0
+        if self.mesh_kind == "torus":
+            (vq, vp), (q, p) = total.T, pts.T
+            a, b, c, d = 1.0, 0.0, 0.0, 1.0
+            for i, (coef, shear) in enumerate(self._shears):
+                step = moved and i < len(self._shears) - 1
+                rate, curv = shear.jet_fn(q, p) if step else (shear.rate_fn(q, p), None)
+                if shear.axis == "q":
+                    vq -= coef * (b * rate)
+                    vp -= coef * (d * rate)
+                else:
+                    vq += coef * (a * rate)
+                    vp += coef * (c * rate)
+                if step:
+                    u = coef * s
+                    x = u * curv
+                    if shear.axis == "q":
+                        a, c, p = a - b * x, c - d * x, (p + u * rate) % 1.0
+                    else:
+                        b, d, q = b + a * x, d + c * x, (q - u * rate) % 1.0
+            return total
         if moved and (s is not self._flows_at or isinstance(s, np.ndarray) and s.flags.writeable):
             self._flows_at, self._flows = s, [h.flow(-coef * s) for coef, h in self.stages[:-1]]
         current, inv_jac = pts, None
         for i, (coef, h) in enumerate(self.stages):
-            if i and moved:
-                step = self._flows[i - 1]
-                inv_jac = step.fold_jacobian(inv_jac, current)
+            if i and moved and isinstance(step := self._flows[i - 1], _Rotation):  # an identity moves nothing
+                inv_jac = step._jac_inv if inv_jac is None else inv_jac @ step._jac_inv
                 current = step.apply(current)
             vel = h.velocity(current)
             total += coef * (vel if inv_jac is None else np.einsum("...ij,...j->...i", inv_jac, vel))

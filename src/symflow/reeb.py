@@ -451,6 +451,20 @@ def _segmented_cumsum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _triangle_stats(tri, vals, rank):
+    """Per triangle the lowest, highest and mean value and the middle vertex by rank.
+
+    Rounds as the axis-1 ``min``, ``max`` and ``mean`` (a sum from +0.0) of ``vals[tri]``
+    and picks the vertex ``argsort`` puts in the middle; a helper, so its temporaries are freed.
+    """
+    t0, t1, t2 = tri.T
+    v0, v1, v2 = vals[t0], vals[t1], vals[t2]
+    r0, r1, r2 = rank[t0], rank[t1], rank[t2]
+    rises01, rises12 = r0 < r1, r1 < r2
+    mid = np.where(rises01 == rises12, t1, np.where(rises01 != (r0 < r2), t0, t2))
+    return np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2), (0.0 + v0 + v1 + v2) / 3.0, mid
+
+
 def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
                   node_of_vertex, edge_of_vertex):
     """Spread triangle areas over the tree and build per-edge mass profiles.
@@ -467,13 +481,8 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     ``cum_left`` and ``cum_right``.
     """
     n_nodes, n_edges = node_vals.size, e_lower.size
-    tri = mesh.triangles
     tmass = mesh.tri_masses
-    tvals = vals[tri]
-    lo = tvals.min(axis=1)
-    hi = tvals.max(axis=1)
-    bary = tvals.mean(axis=1)
-    mid = tri[np.arange(len(tri)), np.argsort(rank[tri], axis=1)[:, 1]]
+    lo, hi, bary, mid = _triangle_stats(mesh.triangles, vals, rank)
     anchor = edge_of_vertex[mid]
 
     # Triangles whose middle vertex is itself a node: route them to an

@@ -192,6 +192,13 @@ def test_sidecar_carries_config_and_hash(tmp_path):
     assert meta["wall_time_s"] >= 0.0
 
 
+def test_sidecar_records_the_environment(tmp_path):
+    spec = write_spec(tmp_path, out=str(tmp_path / "t"), order=2)
+    assert run(["scheme", "--spec", spec]) == 0
+    meta = json.loads((tmp_path / "t.json").read_text())
+    assert set(meta["env"]) == {"python", "numpy", "scipy", "platform", "cpu_count"}
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a = write_spec(tmp_path, "a.json", out=str(tmp_path / "a"), **SMALL)
     b = write_spec(tmp_path, "b.json", out=str(tmp_path / "b"), **SMALL)

@@ -547,6 +547,56 @@ def test_generator_velocity_matches_the_jacobian_stacks(scheme, surface, torus_p
         assert np.array_equal(gen.velocity(pts, s), _stacked_velocity(gen, pts, s))
 
 
+def _row_by_row(gen: CocycleGenerator, pts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_stacked_velocity`` of each row at its own float time."""
+    return np.concatenate([_stacked_velocity(gen, pts[i:i + 1], float(t)) for i, t in enumerate(s)])
+
+
+@pytest.mark.parametrize("scheme", [strang(), yoshida(4)], ids=lambda sc: sc.label)
+@pytest.mark.parametrize("case", ["linear", "constant-g", "float-zero", "per-row", "per-row-read-only"])
+def test_torus_velocity_walk_edge_cases_match_the_jacobian_stacks(scheme, case, torus, torus_pair):
+    """Constant rates (curvature folded to 0), an identity stage, the float 0.0 and per-row times, bit for bit."""
+    f, g = torus_pair
+    if case == "linear":
+        f, g = sample(torus, "0.3*q"), sample(torus, "0.2*p")
+    elif case == "constant-g":
+        g = sample(torus, "0.7")
+    gen = CocycleGenerator(scheme, f, g)
+    pts = default_probes("torus", 12, seed=29)
+    if case.startswith("per-row"):
+        s = np.linspace(0.0, 0.33, 12)
+        s.flags.writeable = case == "per-row"
+        assert gen.velocity(pts, s).tobytes() == _row_by_row(gen, pts, s).tobytes()
+    else:
+        for s in (0.0,) if case == "float-zero" else (0.0, 0.13, 0.3):
+            assert gen.velocity(pts, s).tobytes() == _stacked_velocity(gen, pts, s).tobytes()
+
+
+@pytest.mark.parametrize("scheme", [strang(), yoshida(4)], ids=lambda sc: sc.label)
+def test_each_torus_stage_makes_one_evaluator_call_per_velocity_call(scheme, torus_pair, monkeypatch):
+    """Every compiled evaluator counts its calls: one per stage, rate and curvature together but at the last stage."""
+    calls = []
+
+    def counted(*exprs):
+        fn = compile_evaluator(*exprs)
+
+        def call(*cols):
+            calls.append((str(exprs[0]), len(exprs)))
+            return fn(*cols)
+        return call
+
+    monkeypatch.setattr(flow, "compile_evaluator", counted)
+    f, g = torus_pair
+    gen = CocycleGenerator(scheme, f, g)
+    pts = default_probes("torus", 16, seed=30)
+    rates = [str(h.field.expr.diff("q" if h.field is f else "p")) for _, h in gen.stages]
+    for s in (0.0, 0.13, np.linspace(0.0, 0.3, 16)):
+        calls.clear()
+        gen.velocity(pts, s)
+        moved = isinstance(s, np.ndarray) or s != 0.0
+        assert calls == [(rate, 2 if moved and i < len(rates) - 1 else 1) for i, rate in enumerate(rates)]
+
+
 @pytest.mark.parametrize("mesh_name,scheme_fn", [("torus", strang), ("sphere", yoshida)])
 def test_generator_flow_reproduces_composition(mesh_name, scheme_fn, torus_pair, sphere_pair):
     """Integrating the generator's vector field lands on the composition."""

@@ -15,6 +15,7 @@ from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uni
 from symflow.reeb import (
     _check_placement,
     _merge_trees,
+    _triangle_stats,
     InvariantViolationError,
     MedianPoint,
     NotASphereMeshError,
@@ -718,6 +719,23 @@ def test_array_pipeline_matches_the_per_vertex_reference(level):
             assert g.knots[s].tobytes() == knots.tobytes()
             assert g.cum_left[s].tobytes() == cum_left.tobytes()
             assert g.cum_right[s].tobytes() == cum_right.tobytes()
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_triangle_stats_round_as_the_axis_reductions(level):
+    """Corner-column min, max, mean and middle vertex equal the axis-1 forms byte for byte, ties and -0.0 included."""
+    fields = [f.values for f in _reference_fields(level)]
+    mesh = build_sphere(level)
+    signs = np.random.default_rng(level).random(mesh.n_points) < 0.5
+    fields += [np.where(signs, 0.0, -0.0), np.where(signs, -0.0, np.round(2.0 * mesh.points[:, 2]))]
+    tri = mesh.triangles
+    for vals in fields:
+        rank = _ranks(vals)
+        tvals = vals[tri]
+        old = (tvals.min(axis=1), tvals.max(axis=1), tvals.mean(axis=1),
+               tri[np.arange(len(tri)), np.argsort(rank[tri], axis=1)[:, 1]])
+        for want, got in zip(old, _triangle_stats(tri, vals, rank)):
+            assert got.tobytes() == want.tobytes()
 
 
 def _misplace(g, rank, kind):
