@@ -83,7 +83,7 @@ def _torus_partials(mesh: TorusGrid, values: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _sphere_gradients(mesh: SphereTri, values: np.ndarray) -> np.ndarray:
-    nbr, mask, pinv, e1, e2 = mesh.lsq_gradient_operator()
+    nbr, mask, pinv, e1, e2 = mesh.lsq_gradient_operator
     delta = (values[nbr] - values[:, None]) * mask
     coef = np.einsum("nik,nk->ni", pinv, delta)
     return coef[:, [0]] * e1 + coef[:, [1]] * e2

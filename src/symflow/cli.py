@@ -727,8 +727,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("action", nargs="?", default="show",
-                       help="subaction (only 'show' is defined)")
         p.add_argument("--spec", metavar="PATH", help="JSON config file")
         p.add_argument("--level", type=int, help="sphere subdivision level")
         p.add_argument("--order", type=int, help="scheme order / expansion cap")
@@ -757,8 +755,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.action != "show":
-            raise ConfigError(f"unknown action {args.action!r}")
         cfg = _config_from_args(args)
         started = time.perf_counter()
         table, lines = _COMMANDS[args.command](cfg)

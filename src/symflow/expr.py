@@ -299,9 +299,7 @@ def compile_evaluator(*exprs: "Expression"):
     variables = exprs[0].variables
     values = [f"({_py_source(e.root)}) + 0.0 * {variables[0]}" for e in exprs]
     body = values[0] if len(exprs) == 1 else f"({', '.join(values)})"
-    fn = eval(f"lambda {', '.join(variables)}: {body}", {"np": np, "__builtins__": {}})
-    fn.__doc__ = "compiled: " + "; ".join(map(str, exprs))
-    return fn
+    return eval(f"lambda {', '.join(variables)}: {body}", {"np": np, "__builtins__": {}})
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,9 +129,6 @@ class _Shear:
         else:
             out[:, 0] = (out[:, 0] + self.t * rate) % 1.0
         return out
-
-    def curv_fn(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.jet_fn(q, p)[1]
 
     def inverse(self) -> "_Shear":
         return _Shear(self.axis, self.rate_fn, self.jet_fn, -self.t)
@@ -239,16 +236,14 @@ def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
     return "rotation", lambda tau: _Rotation(axis, tau)
 
 
-def exact_flow(h: ScalarField, t: float, direction: int = 1) -> FlowMap:
-    """Closed-form flow of a recognised Hamiltonian for time ``t * direction``.
+def exact_flow(h: ScalarField, t: float) -> FlowMap:
+    """Closed-form flow of a recognised Hamiltonian for time ``t`` (negative ``t`` runs it backwards).
 
     See :func:`recognize_flow` for the recognised families and the
     error raised otherwise.
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
     label, factory = recognize_flow(h)
-    return FlowMap([factory(t * direction)], h.mesh.kind, label=label)
+    return FlowMap([factory(t)], h.mesh.kind, label=label)
 
 
 def _stages(scheme: SplittingScheme, f, g) -> list[tuple[float, object]]:
@@ -289,59 +284,69 @@ def _compiled(expr):
     return lambda pts: fn(*pts.T)
 
 
-def _value_fn(field: ScalarField):
-    """Point evaluator of a field: compiled from its expression, else mesh interpolation."""
-    return _compiled(field.expr) if field.expr is not None else partial(interpolate, field)
-
-
-def _velocity_fn(field: ScalarField):
-    """Hamiltonian vector field of a field, as a point evaluator.
-
-    Compiled from the expression's partials; a field without an expression
-    takes its mesh partials once (central differences on the torus,
-    least-squares gradients on the sphere) and interpolates them.
-    """
-    mesh = field.mesh
-    if field.expr is not None:
-        # a partial folded to the constant +0 would give +0 at every finite point: the float 0.0 rounds the same
-        grads = [(lambda pts: 0.0) if d.root == Const(0.0) and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
-                 for d in map(field.expr.diff, mesh.coord_names)]
-    else:
-        if mesh.kind == "torus":
-            partials = _torus_partials(mesh, field.values)
-        else:
-            partials = _sphere_gradients(mesh, field.values).T
-        grads = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
-    if mesh.kind == "torus":
-        gq, gp = grads
-
-        def torus_velocity(pts: np.ndarray) -> np.ndarray:
-            out = np.empty(pts.shape)
-            out[:, 0], out[:, 1] = gp(pts), -gq(pts)
-            return out
-        return torus_velocity
-
-    def sphere_velocity(pts: np.ndarray) -> np.ndarray:  # 4 pi grad H x p in the products np.cross takes
-        (dx, dy, dz), (x, y, z) = [d(pts) for d in grads], pts.T
-        return FOUR_PI * np.stack([dy * z - dz * y, dz * x - dx * z, dx * y - dy * x], axis=1)
-
-    return sphere_velocity
-
-
 class StaticHamiltonian:
-    """Autonomous Hamiltonian; exact gradients when an expression is present."""
+    """Autonomous Hamiltonian: point evaluators and exact flow of one field, each built on first use.
+
+    Values and the vector field are compiled from the field's expression; a field without
+    one is interpolated on its mesh.  ``flow(tau)`` is the exact flow for time ``tau``; the
+    field is recognised (:func:`recognize_flow`) at the first call, which raises
+    ``NotRecognizedError`` for a field outside the recognised families.
+    """
 
     def __init__(self, field: ScalarField):
         self.field = field
         self.mesh_kind = field.mesh.kind
-        self._value = _value_fn(field)
-        self._velocity = _velocity_fn(field)
 
-    def value(self, pts: np.ndarray, s: float) -> np.ndarray:
+    def value(self, pts: np.ndarray, s: float = 0.0) -> np.ndarray:
         return self._value(pts)
 
-    def velocity(self, pts: np.ndarray, s: float) -> np.ndarray:
+    def velocity(self, pts: np.ndarray, s: float = 0.0) -> np.ndarray:
         return self._velocity(pts)
+
+    def flow(self, tau):
+        return self._flow_factory(tau)
+
+    @cached_property
+    def _value(self):
+        return _compiled(self.field.expr) if self.field.expr is not None else partial(interpolate, self.field)
+
+    @cached_property
+    def _velocity(self):
+        """Hamiltonian vector field as a point evaluator.
+
+        Compiled from the expression's partials; a field without an expression
+        takes its mesh partials once (central differences on the torus,
+        least-squares gradients on the sphere) and interpolates them.
+        """
+        field, mesh = self.field, self.field.mesh
+        if field.expr is not None:
+            # a partial folded to the constant +0 would give +0 at every finite point: the float 0.0 rounds the same
+            grads = [(lambda pts: 0.0) if d.root == Const(0.0) and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
+                     for d in map(field.expr.diff, mesh.coord_names)]
+        else:
+            if mesh.kind == "torus":
+                partials = _torus_partials(mesh, field.values)
+            else:
+                partials = _sphere_gradients(mesh, field.values).T
+            grads = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
+        if mesh.kind == "torus":
+            gq, gp = grads
+
+            def torus_velocity(pts: np.ndarray) -> np.ndarray:
+                out = np.empty(pts.shape)
+                out[:, 0], out[:, 1] = gp(pts), -gq(pts)
+                return out
+            return torus_velocity
+
+        def sphere_velocity(pts: np.ndarray) -> np.ndarray:  # 4 pi grad H x p in the products np.cross takes
+            (dx, dy, dz), (x, y, z) = [d(pts) for d in grads], pts.T
+            return FOUR_PI * np.stack([dy * z - dz * y, dz * x - dx * z, dx * y - dy * x], axis=1)
+
+        return sphere_velocity
+
+    @cached_property
+    def _flow_factory(self):
+        return recognize_flow(self.field)[1]
 
 
 class LinearPathHamiltonian:
@@ -354,44 +359,22 @@ class LinearPathHamiltonian:
             raise SymbolicRequiredError("path terms must be expression-backed fields")
         self.terms = list(terms)
         self.mesh_kind = self.terms[0][1].mesh.kind
-        self._evaluators = [(coef_fn, _value_fn(fld), _velocity_fn(fld)) for coef_fn, fld in self.terms]
+        self._hams = [(coef_fn, StaticHamiltonian(fld)) for coef_fn, fld in self.terms]
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
         total = np.zeros(pts.shape[0])
-        for coef_fn, value, _ in self._evaluators:
-            total += coef_fn(s) * value(pts)
+        for coef_fn, h in self._hams:
+            total += coef_fn(s) * h.value(pts)
         return total
 
     def velocity(self, pts: np.ndarray, s) -> np.ndarray:
         total = np.zeros_like(pts)
-        for coef_fn, _, velocity in self._evaluators:
-            total += np.expand_dims(coef_fn(s), -1) * velocity(pts)  # one coefficient per row
+        for coef_fn, h in self._hams:
+            total += np.expand_dims(coef_fn(s), -1) * h.velocity(pts)  # one coefficient per row
         return total
 
 
-class _StageHamiltonian:
-    """One stage Hamiltonian: point evaluators built once, and its exact flow.
-
-    Fields without an expression are evaluated by mesh interpolation.
-    With ``velocity`` the vector field is compiled too and the exact flow
-    is recognised at once; otherwise it is recognised on first use, which
-    lets the last stage, after which the walk moves no point, be a field
-    without an exact flow.
-    """
-
-    def __init__(self, field: ScalarField, velocity: bool = False):
-        self.field = field
-        self.value = _value_fn(field)
-        self.velocity = _velocity_fn(field) if velocity else None
-        self._factory = recognize_flow(field)[1] if velocity else None
-
-    def flow(self, tau: float):
-        if self._factory is None:
-            self._factory = recognize_flow(self.field)[1]
-        return self._factory(tau)
-
-
-def _pullback_sum(stages: list[tuple[float, _StageHamiltonian]], pts: np.ndarray, s: float) -> np.ndarray:
+def _pullback_sum(stages: list[tuple[float, StaticHamiltonian]], pts: np.ndarray, s: float) -> np.ndarray:
     """``sum_i c_i H_i(x_i)``, each stage pulled back by the earlier stages.
 
     ``x_0 = pts`` and ``x_i`` is ``x_(i-1)`` moved by the inverse flow of
@@ -431,8 +414,9 @@ class CocycleGenerator:
         self.f = f
         self.g = g
         self.mesh_kind = f.mesh.kind
-        self.stages = _stages(scheme, _StageHamiltonian(f, velocity=True), _StageHamiltonian(g, velocity=True))
-        self._flows_at, self._flows = None, []  # sphere: inverse stage flows at the stage time _flows_at
+        self.stages = _stages(scheme, StaticHamiltonian(f), StaticHamiltonian(g))
+        self._flows_at, self._flows = None, []  # sphere: inverse stage flows at a copy of the stage time s
+        # recognises every stage's flow, so a field without one fails here
         self._shears = [(coef, st) for coef, st in ((c, h.flow(0.0)) for c, h in self.stages) if isinstance(st, _Shear)]
 
     def value(self, pts: np.ndarray, s: float) -> np.ndarray:
@@ -446,8 +430,8 @@ class CocycleGenerator:
         ``q, p`` of the walk: the rate gives the field, ``(0, -rate)`` for ``H = f(q)`` or
         ``(rate, 0)`` for ``H = g(p)``, and the shear to the next point; the curvature folds
         the inverse Jacobian ``[[a, b], [c, d]]``, four columns.  The last stage, and all at
-        ``s = 0``, need the rate only; identity stages add nothing.  On the sphere stage flows
-        are kept per unchangeable ``s``: a float or read-only array.
+        ``s = 0``, need the rate only; identity stages add nothing.  On the sphere the stage
+        flows are kept for the last ``s``, compared by value with a copy.
         """
         total = np.zeros(pts.shape)
         moved = isinstance(s, np.ndarray) or s != 0.0
@@ -471,8 +455,8 @@ class CocycleGenerator:
                     else:
                         b, d, q = b + a * x, d + c * x, (q - u * rate) % 1.0
             return total
-        if moved and (s is not self._flows_at or isinstance(s, np.ndarray) and s.flags.writeable):
-            self._flows_at, self._flows = s, [h.flow(-coef * s) for coef, h in self.stages[:-1]]
+        if moved and not np.array_equal(s, self._flows_at):
+            self._flows_at, self._flows = np.copy(s), [h.flow(-coef * s) for coef, h in self.stages[:-1]]
         current, inv_jac = pts, None
         for i, (coef, h) in enumerate(self.stages):
             if i and moved and isinstance(step := self._flows[i - 1], _Rotation):  # an identity moves nothing
@@ -492,7 +476,7 @@ def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
     """Classical RK4 over ``[0, t]`` in ``nsteps`` steps; sequences of ``t``, ``nsteps`` stack groups.
 
     One loop runs every group on all of ``points``, each row with its own step and stage time
-    ``s`` (read-only; the float 0.0 at the first k1), so a row rounds as a run on its own would.
+    ``s`` (the float 0.0 at the first k1), so a row rounds as a run on its own would.
     """
     start = np.array(points, dtype=float)
     ts, ns = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(nsteps))
@@ -506,7 +490,6 @@ def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
         col = h[:, None]
         for _ in range(done, n):
             mid, end = s + 0.5 * h, s + h
-            mid.flags.writeable = end.flags.writeable = False
             k1 = ham.velocity(pts, s)
             k2 = ham.velocity(pts + 0.5 * col * k1, mid)
             k3 = ham.velocity(pts + 0.5 * col * k2, mid)
@@ -552,6 +535,9 @@ class ReferenceFlow:
         return out
 
 
+_MIN_STEPS = 16
+
+
 def _coerce_hamiltonian(h) -> object:
     if isinstance(h, ScalarField):
         return StaticHamiltonian(h)
@@ -565,12 +551,11 @@ def reference_flow(
     t: float,
     tol: float = 1e-12,
     probes: np.ndarray | None = None,
-    min_steps: int = 16,
     max_steps: int = 1 << 17,
 ) -> ReferenceFlow:
     """Integrate the Hamiltonian vector field with step doubling.
 
-    RK4 runs with ``min_steps``, twice as many, and so on, on a probe set; the first
+    RK4 runs with 16 steps, twice as many, and so on, on a probe set; the first
     run within ``tol`` of the one before is kept, with that gap as the error estimate,
     a copy of the probes and its endpoints.  One :func:`_rk4` loop runs the first two
     levels, the next as many more as the h^4 law (Hairer, Norsett & Wanner, *Solving
@@ -586,7 +571,7 @@ def reference_flow(
     if probes is None:
         probes = default_probes(ham.mesh_kind, n=48, seed=777)
     probes = np.array(probes, dtype=float)
-    batch, prev = [min_steps, 2 * min_steps], None
+    batch, prev = [_MIN_STEPS, 2 * _MIN_STEPS], None
     while True:
         for n, cur in zip(batch, _rk4(ham, probes, t, batch)):
             if prev is not None:
@@ -616,7 +601,7 @@ def reference_endpoints(
     t_max = max(t_list)
     ref = reference_flow(ham, t_max, tol=tol, probes=probes)
     rest = [t for t in t_list if t != t_max]
-    nsteps = [max(16, math.ceil(ref.nsteps * t / t_max)) for t in rest]
+    nsteps = [max(_MIN_STEPS, math.ceil(ref.nsteps * t / t_max)) for t in rest]
     ends = dict(zip(rest, _rk4(ham, probes, rest, nsteps)))
     ends[t_max] = ref.apply(probes)
     return {t: (ends[t], max(ref.error_estimate * (t / t_max), 1e-15)) for t in t_list}
@@ -658,7 +643,7 @@ def cocycle_hamiltonian(scheme: SplittingScheme, f: ScalarField, g: ScalarField,
     mesh = f.mesh
     if not mesh.same_as(g.mesh):
         raise ValueError("fields live on different meshes")
-    stages = _stages(scheme, _StageHamiltonian(f), _StageHamiltonian(g))
+    stages = _stages(scheme, StaticHamiltonian(f), StaticHamiltonian(g))
     total = _pullback_sum(stages, mesh.points, t)
     interp_budget = sum(abs(coef) * _interp_error_scale(h.field) for coef, h in stages if h.field.expr is None)
     if interp_budget > 0.0:

@@ -18,6 +18,7 @@ the mesh and symbolic differentiation downstream).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -106,11 +107,6 @@ class SphereTri(Mesh):
         w = np.zeros(len(vertices))
         np.add.at(w, triangles.ravel(), np.repeat(self.tri_masses / 3.0, 3))
         self.weights = w
-        self._kdtree: Optional[cKDTree] = None
-        self._vert_tris: Optional[list[np.ndarray]] = None
-        self._tri_inv: Optional[np.ndarray] = None
-        self._neighbors: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._lsq_gradient: Optional[tuple[np.ndarray, ...]] = None
 
     def signature(self) -> tuple:
         return ("sphere", self.level)
@@ -119,68 +115,63 @@ class SphereTri(Mesh):
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @cached_property
     def kdtree(self) -> cKDTree:
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
+        return cKDTree(self.points)
 
+    @cached_property
     def vertex_triangles(self) -> list[np.ndarray]:
         """Indices of triangles incident to each vertex."""
-        if self._vert_tris is None:
-            order = np.argsort(self.triangles.ravel(), kind="stable")
-            tri_ids = np.repeat(np.arange(self.n_triangles), 3)[order]
-            counts = np.bincount(self.triangles.ravel(), minlength=self.n_points)
-            splits = np.cumsum(counts)[:-1]
-            self._vert_tris = np.split(tri_ids, splits)
-        return self._vert_tris
+        order = np.argsort(self.triangles.ravel(), kind="stable")
+        tri_ids = np.repeat(np.arange(self.n_triangles), 3)[order]
+        counts = np.bincount(self.triangles.ravel(), minlength=self.n_points)
+        splits = np.cumsum(counts)[:-1]
+        return np.split(tri_ids, splits)
 
+    @cached_property
     def triangle_inverses(self) -> np.ndarray:
         """Per-triangle inverse of the 3x3 vertex matrix, for radial barycentrics."""
-        if self._tri_inv is None:
-            mats = self.points[self.triangles].transpose(0, 2, 1)
-            self._tri_inv = np.linalg.inv(mats)
-        return self._tri_inv
+        mats = self.points[self.triangles].transpose(0, 2, 1)
+        return np.linalg.inv(mats)
 
+    @cached_property
     def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex adjacency as (indptr, indices), CSR style, sorted per row."""
-        if self._neighbors is None:
-            t = self.triangles
-            edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-            both = np.concatenate([edges, edges[:, ::-1]])
-            both = np.unique(both, axis=0)
-            indptr = np.zeros(self.n_points + 1, dtype=np.int64)
-            np.add.at(indptr, both[:, 0] + 1, 1)
-            indptr = np.cumsum(indptr)
-            self._neighbors = (indptr, both[:, 1].copy())
-        return self._neighbors
+        t = self.triangles
+        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        both = np.concatenate([edges, edges[:, ::-1]])
+        both = np.unique(both, axis=0)
+        indptr = np.zeros(self.n_points + 1, dtype=np.int64)
+        np.add.at(indptr, both[:, 0] + 1, 1)
+        indptr = np.cumsum(indptr)
+        return indptr, both[:, 1].copy()
 
+    @cached_property
     def lsq_gradient_operator(self) -> tuple[np.ndarray, ...]:
         """Per-vertex least-squares tangent gradient operator.
 
-        Returns ``(nbr, mask, pinv, e1, e2)``: padded neighbour indices, their
+        Holds ``(nbr, mask, pinv, e1, e2)``: padded neighbour indices, their
         validity mask, the pseudo-inverse mapping neighbour differences to
         coefficients in the tangent frame, and that frame.
         """
-        if self._lsq_gradient is None:
-            indptr, indices = self.neighbor_csr()
-            kmax = int(np.diff(indptr).max())
-            n = self.n_points
-            nbr = np.zeros((n, kmax), dtype=np.int64)
-            mask = np.zeros((n, kmax))
-            for v in range(n):
-                row = indices[indptr[v]:indptr[v + 1]]
-                nbr[v, : len(row)] = row
-                mask[v, : len(row)] = 1.0
-            pts = self.points
-            seed = np.where(np.abs(pts[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-            e1 = np.cross(pts, seed)
-            e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-            e2 = np.cross(pts, e1)
-            d = (pts[nbr] - pts[:, None, :]) * mask[:, :, None]
-            a = np.stack([np.einsum("nkc,nc->nk", d, e1), np.einsum("nkc,nc->nk", d, e2)], axis=2)
-            pinv = np.linalg.pinv(a)  # (n, 2, kmax)
-            self._lsq_gradient = (nbr, mask, pinv, e1, e2)
-        return self._lsq_gradient
+        indptr, indices = self.neighbor_csr
+        kmax = int(np.diff(indptr).max())
+        n = self.n_points
+        nbr = np.zeros((n, kmax), dtype=np.int64)
+        mask = np.zeros((n, kmax))
+        for v in range(n):
+            row = indices[indptr[v]:indptr[v + 1]]
+            nbr[v, : len(row)] = row
+            mask[v, : len(row)] = 1.0
+        pts = self.points
+        seed = np.where(np.abs(pts[:, [0]]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        e1 = np.cross(pts, seed)
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e2 = np.cross(pts, e1)
+        d = (pts[nbr] - pts[:, None, :]) * mask[:, :, None]
+        a = np.stack([np.einsum("nkc,nc->nk", d, e1), np.einsum("nkc,nc->nk", d, e2)], axis=2)
+        pinv = np.linalg.pinv(a)  # (n, 2, kmax)
+        return nbr, mask, pinv, e1, e2
 
     def edges(self) -> np.ndarray:
         """Unique undirected mesh edges as an (e, 2) array with u < v."""
@@ -361,12 +352,12 @@ def _locate_sphere(mesh: SphereTri, pts: np.ndarray, k_max: int = 24) -> tuple[n
     n = pts.shape[0]
     tri_of = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
-    inv = mesh.triangle_inverses()
-    vert_tris = mesh.vertex_triangles()
+    inv = mesh.triangle_inverses
+    vert_tris = mesh.vertex_triangles
     pending = np.arange(n)
     k = 1
     while pending.size and k <= k_max:
-        _, nearest = mesh.kdtree().query(pts[pending], k=k)
+        _, nearest = mesh.kdtree.query(pts[pending], k=k)
         if k == 1:
             nearest = nearest[:, None]
         cand_cols = nearest[:, k - 1]

@@ -176,10 +176,14 @@ def validate_order(
     error estimate, or below 1e-12, are discarded.  Fewer than three
     surviving points raises :class:`ReferenceToleranceExceededError`
     unless the error vanishes identically (reported as ``status="exact"``).
+    A field without a recognised exact flow raises ``NotRecognizedError``
+    before the reference is integrated.
     """
     from . import flow as _flow
 
     mesh = f.mesh
+    for h in (f, g):
+        _flow.recognize_flow(h)
     if probes is None:
         probes = _flow.default_probes(mesh.kind)
     if reference is None:

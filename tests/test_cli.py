@@ -388,7 +388,7 @@ def test_qstate_prints_median_summary(capsys):
 
 
 def test_scheme_show_lists_stage_sums(capsys):
-    assert run(["scheme", "show", "--order", "6"]) == 0
+    assert run(["scheme", "--order", "6"]) == 0
     out = capsys.readouterr().out
     assert "yoshida-6" in out
     assert "sums: 1, 1" in out

@@ -137,7 +137,7 @@ def test_flow_consistency_with_bracket(mesh_name, h_src, a_src, torus, sphere):
     pts = default_probes(mesh.kind, 60, seed=5)
     eps = 1e-5
     ahead = a.expr.eval_at(exact_flow(h, eps).apply(pts))
-    behind = a.expr.eval_at(exact_flow(h, eps, direction=-1).apply(pts))
+    behind = a.expr.eval_at(exact_flow(h, -eps).apply(pts))
     rate = (ahead - behind) / (2 * eps)
     bracket = poisson(a, h).expr.eval_at(pts)
     assert np.max(np.abs(rate - bracket)) < 5e-7 * (1 + np.max(np.abs(bracket)))
@@ -222,7 +222,8 @@ def test_numeric_velocity_on_sphere(sphere):
     vel = StaticHamiltonian(h).velocity(pts, 0.0)
     exact = 4.0 * np.pi * np.column_stack([-pts[:, 1], pts[:, 0], np.zeros(len(pts))])
     assert np.max(np.abs(vel - exact)) <= 0.02 * 4.0 * np.pi
-    assert sphere.lsq_gradient_operator() is sphere.lsq_gradient_operator()
+    for cache in ("kdtree", "vertex_triangles", "triangle_inverses", "neighbor_csr", "lsq_gradient_operator"):
+        assert getattr(sphere, cache) is getattr(sphere, cache), cache
 
 
 def test_reference_energy_drift(sphere):
@@ -413,6 +414,21 @@ def test_per_row_stage_times_give_each_row_its_float_velocity(surface, torus_pai
     assert np.array_equal(gen.velocity(pts, s), fresh)
 
 
+def test_sphere_stage_flows_follow_the_values_of_a_read_only_view():
+    """A read-only view whose base changes between calls gets the velocity of a fresh generator."""
+    mesh = build_sphere(3)
+    f, g = sample(mesh, "0.35*x"), sample(mesh, "0.25*z")
+    pts = default_probes("sphere", 4, seed=1)
+    base = np.full(4, 0.1)
+    view = base.view()
+    view.flags.writeable = False
+    gen = CocycleGenerator(strang(), f, g)
+    gen.velocity(pts, view)
+    base[:] = 0.3
+    fresh = CocycleGenerator(strang(), f, g).velocity(pts, np.full(4, 0.3))
+    assert gen.velocity(pts, view).tobytes() == fresh.tobytes()
+
+
 def test_kept_endpoints_of_a_sphere_generator_equal_a_fresh_run(sphere_pair):
     gen = CocycleGenerator(strang(), *sphere_pair)
     pts = default_probes("sphere", 12, seed=26)
@@ -518,7 +534,7 @@ def _stacked_velocity(gen: CocycleGenerator, pts: np.ndarray, s: float) -> np.nd
             step = prev.flow(-prev_coef * s)
             if isinstance(step, flow._Shear):
                 jinv = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-                curv = step.curv_fn(current[:, 0], current[:, 1])
+                curv = step.jet_fn(current[:, 0], current[:, 1])[1]
                 if step.axis == "q":
                     jinv[:, 1, 0] = step.t * curv
                 else:
@@ -570,6 +586,21 @@ def test_torus_velocity_walk_edge_cases_match_the_jacobian_stacks(scheme, case, 
     else:
         for s in (0.0,) if case == "float-zero" else (0.0, 0.13, 0.3):
             assert gen.velocity(pts, s).tobytes() == _stacked_velocity(gen, pts, s).tobytes()
+
+
+def test_a_torus_generator_compiles_only_its_shear_evaluators(torus_pair, monkeypatch):
+    """Construction recognises each field (rate, then rate with curvature) and compiles no value or gradient."""
+    compiled = []
+
+    def counted(*exprs):
+        compiled.append(tuple(map(str, exprs)))
+        return compile_evaluator(*exprs)
+
+    monkeypatch.setattr(flow, "compile_evaluator", counted)
+    f, g = torus_pair
+    CocycleGenerator(strang(), f, g)
+    rq, rp = f.expr.diff("q"), g.expr.diff("p")
+    assert compiled == [(str(rq),), (str(rq), str(rq.diff("q"))), (str(rp),), (str(rp), str(rp.diff("p")))]
 
 
 @pytest.mark.parametrize("scheme", [strang(), yoshida(4)], ids=lambda sc: sc.label)

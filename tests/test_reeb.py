@@ -612,7 +612,7 @@ def _reference_tree(f):
     n = vals.size
     order = np.lexsort((np.arange(n), vals))
     rank = _ranks(vals)
-    indptr, indices = mesh.neighbor_csr()
+    indptr, indices = mesh.neighbor_csr
     arcs = _reference_arcs(_reference_merge_tree(indptr, indices, order[::-1]),
                            _reference_merge_tree(indptr, indices, order))
     adj = [[] for _ in range(n)]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from symflow import bracket
-from symflow.flow import exact_flow
-from symflow.manifold import ScalarField, build_torus, sample
+from symflow import bracket, flow
+from symflow.flow import NotRecognizedError, exact_flow
+from symflow.manifold import ScalarField, build_sphere, build_torus, sample
 from symflow.scheme import (
     DEFAULT_T_GRID,
     OddOrderError,
@@ -138,3 +138,13 @@ def test_validate_order_too_few_points(torus_pair):
     ref = {t: (exact_flow(f, t).apply(probes), 1.0) for t in DEFAULT_T_GRID}
     with pytest.raises(ReferenceToleranceExceededError):
         validate_order(lie_trotter(), f, g, probes=probes, reference=ref)
+
+
+def test_validate_order_rejects_a_field_without_exact_flow_before_calibrating(monkeypatch):
+    def no_rk4(*args):
+        raise AssertionError("the reference flow was integrated")
+
+    monkeypatch.setattr(flow, "_rk4", no_rk4)
+    mesh = build_sphere(3)
+    with pytest.raises(NotRecognizedError):
+        validate_order(strang(), sample(mesh, "1 - 2*x^2"), sample(mesh, "1 - 2*y^2"))
