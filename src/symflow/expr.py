@@ -4,8 +4,12 @@ Fields on the torus and the sphere are described by expressions over a
 fixed variable set (``q, p`` on the torus, ``x, y, z`` on the sphere).
 The language supports constants, variables, ``+ - * /``, integer powers
 via ``^``, the functions ``sin``, ``cos``, ``exp``, and the keyword
-``pi``.  Expressions are immutable trees; differentiation is symbolic
-and returns a new tree with constants folded.
+``pi``.  An expression is a DAG of one immutable node type,
+``Node(op, args, value)``, and each operator has one row in ``_OPS``: its
+numpy function, the error state it runs under, its Python source and its
+printed form.  Differentiation is symbolic and returns a new DAG with
+constants folded; a compiled evaluator is straight-line code with one
+local per distinct node, so a shared subexpression is computed once.
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, binary ``+ -``.
 Binary operators associate to the left, so ``a-b-c`` is ``(a-b)-c`` and
@@ -15,9 +19,10 @@ Binary operators associate to the left, so ``a-b-c`` is ``(a-b)-c`` and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -34,67 +39,73 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# Nodes and the operator table
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
-    pass
+class Node(NamedTuple):
+    """``op`` applied to the nodes ``args``.
+
+    ``value`` is the float of a ``"const"``, the name of a ``"var"`` and the
+    integer exponent of a ``"pow"``; every other operator has none.
+    """
+
+    op: str
+    args: tuple = ()
+    value: object = None
 
 
-@dataclass(frozen=True)
-class Const(Node):
-    value: float
+def Const(value: float) -> Node:
+    return Node("const", (), value)
 
 
-@dataclass(frozen=True)
-class Var(Node):
-    name: str
+def Var(name: str) -> Node:
+    return Node("var", (), name)
 
 
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
+_ZERO, _ONE = Const(0.0), Const(1.0)
 
 
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+class _Op(NamedTuple):
+    fn: Callable  # numpy function of the argument values (then the exponent, for "pow")
+    errstate: dict | None  # np.errstate keywords around fn
+    source: str  # Python source; {0}, {1} are the arguments and {k} the exponent
+    text: str  # printed form, same fields
+    prec: tuple  # printed precedence, then the least precedence each argument prints bare at
 
 
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Div(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    base: Node
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    func: str  # 'sin' | 'cos' | 'exp'
-    arg: Node
-
-
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5  # printed precedence, loosest first
+_IGNORE = {"divide": "ignore", "invalid": "ignore"}
+_OVER = {"over": "ignore"}
+_OPS = {
+    "add": _Op(operator.add, None, "{0} + {1}", "{0}+{1}", (_ADD, _ADD, _MUL)),
+    "sub": _Op(operator.sub, None, "{0} - {1}", "{0}-{1}", (_ADD, _ADD, _MUL)),
+    "mul": _Op(operator.mul, None, "{0} * {1}", "{0}*{1}", (_MUL, _MUL, _NEG)),
+    "div": _Op(np.divide, _IGNORE, "{0} / {1}", "{0}/{1}", (_MUL, _MUL, _NEG)),
+    "neg": _Op(operator.neg, None, "-({0})", "-{0}", (_NEG, _POW)),
+    "pow": _Op(lambda base, k: np.power(base, float(k)), _IGNORE, "({0}) ** ({k})", "{0}^{k}", (_POW, _POW)),
+    "sin": _Op(np.sin, _OVER, "np.sin({0})", "sin({0})", (_ATOM, 0)),
+    "cos": _Op(np.cos, _OVER, "np.cos({0})", "cos({0})", (_ATOM, 0)),
+    "exp": _Op(np.exp, _OVER, "np.exp({0})", "exp({0})", (_ATOM, 0)),
+}
 _FUNCTIONS = ("sin", "cos", "exp")
+
+
+def _post_order(roots: list[Node]) -> list[Node]:
+    """The distinct node objects under ``roots``, each after its arguments."""
+    order: list[Node] = []
+    seen: set[int] = set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for arg in reversed(node.args):
+                stack.append((arg, False))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +114,7 @@ _FUNCTIONS = ("sin", "cos", "exp")
 
 
 def _is_const(n: Node, v: float | None = None) -> bool:
-    return isinstance(n, Const) and (v is None or n.value == v)
+    return n.op == "const" and (v is None or n.value == v)
 
 
 def _add(a: Node, b: Node) -> Node:
@@ -113,7 +124,7 @@ def _add(a: Node, b: Node) -> Node:
         return b
     if _is_const(b, 0.0):
         return a
-    return Add(a, b)
+    return Node("add", (a, b))
 
 
 def _sub(a: Node, b: Node) -> Node:
@@ -123,14 +134,14 @@ def _sub(a: Node, b: Node) -> Node:
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return Sub(a, b)
+    return Node("sub", (a, b))
 
 
 def _mul(a: Node, b: Node) -> Node:
     if _is_const(a) and _is_const(b):
         return Const(a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -139,35 +150,38 @@ def _mul(a: Node, b: Node) -> Node:
         return _neg(b)
     if _is_const(b, -1.0):
         return _neg(a)
-    return Mul(a, b)
+    return Node("mul", (a, b))
 
 
 def _div(a: Node, b: Node) -> Node:
     if _is_const(b) and b.value != 0.0 and _is_const(a):
         return Const(a.value / b.value)
     if _is_const(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(b, 1.0):
         return a
-    return Div(a, b)
+    return Node("div", (a, b))
 
 
 def _pow(base: Node, exponent: int) -> Node:
     if exponent == 0:
-        return Const(1.0)
+        return _ONE
     if exponent == 1:
         return base
     if _is_const(base):
-        return Const(float(base.value**exponent))
-    return Pow(base, exponent)
+        try:  # a power that overflows or divides by zero stays a node, as the parser would build it
+            return Const(float(base.value**exponent))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return Node("pow", (base,), exponent)
 
 
 def _neg(a: Node) -> Node:
     if _is_const(a):
         return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.operand
-    return Neg(a)
+    if a.op == "neg":
+        return a.args[0]
+    return Node("neg", (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +190,37 @@ def _neg(a: Node) -> Node:
 
 
 def _diff(node: Node, var: str, memo: dict) -> Node:
+    op, args, value = node
+    if op == "const":
+        return _ZERO
+    if op == "var":
+        return _ONE if value == var else _ZERO
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    result: Node
-    if isinstance(node, Const):
-        result = Const(0.0)
-    elif isinstance(node, Var):
-        result = Const(1.0 if node.name == var else 0.0)
-    elif isinstance(node, Add):
-        result = _add(_diff(node.left, var, memo), _diff(node.right, var, memo))
-    elif isinstance(node, Sub):
-        result = _sub(_diff(node.left, var, memo), _diff(node.right, var, memo))
-    elif isinstance(node, Mul):
-        du = _diff(node.left, var, memo)
-        dv = _diff(node.right, var, memo)
-        result = _add(_mul(du, node.right), _mul(node.left, dv))
-    elif isinstance(node, Div):
-        du = _diff(node.left, var, memo)
-        dv = _diff(node.right, var, memo)
-        num = _sub(_mul(du, node.right), _mul(node.left, dv))
-        result = _div(num, _pow(node.right, 2))
-    elif isinstance(node, Pow):
-        du = _diff(node.base, var, memo)
-        result = _mul(_mul(Const(float(node.exponent)), _pow(node.base, node.exponent - 1)), du)
-    elif isinstance(node, Neg):
-        result = _neg(_diff(node.operand, var, memo))
-    elif isinstance(node, Call):
-        du = _diff(node.arg, var, memo)
-        if node.func == "sin":
-            outer: Node = Call("cos", node.arg)
-        elif node.func == "cos":
-            outer = _neg(Call("sin", node.arg))
-        else:  # exp
-            outer = node
-        result = _mul(outer, du)
-    else:  # pragma: no cover - exhaustive over node types
-        raise TypeError(f"unhandled node {node!r}")
+    u = args[0]
+    du = _diff(u, var, memo)
+    if op == "add":
+        result = _add(du, _diff(args[1], var, memo))
+    elif op == "sub":
+        result = _sub(du, _diff(args[1], var, memo))
+    elif op == "mul":
+        v = args[1]
+        result = _add(_mul(du, v), _mul(u, _diff(v, var, memo)))
+    elif op == "div":
+        v = args[1]
+        result = _div(_sub(_mul(du, v), _mul(u, _diff(v, var, memo))), _pow(v, 2))
+    elif op == "pow":
+        result = _mul(_mul(Const(float(value)), _pow(u, value - 1)), du)
+    elif op == "neg":
+        result = _neg(du)
+    elif op == "sin":
+        result = _mul(Node("cos", args), du)
+    elif op == "cos":
+        result = _mul(_neg(Node("sin", args)), du)
+    else:  # exp
+        result = _mul(node, du)
     memo[key] = result
     return result
 
@@ -226,35 +233,26 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def _eval(node: Node, env: Mapping[str, ArrayLike], memo: dict) -> ArrayLike:
+    op, args, value = node
+    if op == "const":
+        return value
+    if op == "var":
+        return env[value]
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(node, Const):
-        result: ArrayLike = node.value
-    elif isinstance(node, Var):
-        result = env[node.name]
-    elif isinstance(node, Add):
-        result = _eval(node.left, env, memo) + _eval(node.right, env, memo)
-    elif isinstance(node, Sub):
-        result = _eval(node.left, env, memo) - _eval(node.right, env, memo)
-    elif isinstance(node, Mul):
-        result = _eval(node.left, env, memo) * _eval(node.right, env, memo)
-    elif isinstance(node, Div):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = np.divide(_eval(node.left, env, memo), _eval(node.right, env, memo))
-    elif isinstance(node, Pow):
-        base = _eval(node.base, env, memo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = np.power(base, float(node.exponent))
-    elif isinstance(node, Neg):
-        result = -_eval(node.operand, env, memo)
-    elif isinstance(node, Call):
-        arg = _eval(node.arg, env, memo)
-        with np.errstate(over="ignore"):
-            result = getattr(np, node.func)(arg)
-    else:  # pragma: no cover
-        raise TypeError(f"unhandled node {node!r}")
+    row = _OPS[op]
+    vals = []
+    for arg in args:  # a loop, not a comprehension: one frame per level of nesting
+        vals.append(_eval(arg, env, memo))
+    if value is not None:
+        vals.append(value)
+    if row.errstate is None:
+        result = row.fn(*vals)
+    else:
+        with np.errstate(**row.errstate):
+            result = row.fn(*vals)
     memo[key] = result
     return result
 
@@ -264,88 +262,61 @@ def _eval(node: Node, env: Mapping[str, ArrayLike], memo: dict) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 
-def _py_source(node: Node) -> str:
-    if isinstance(node, Const):
-        return repr(float(node.value))
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Add):
-        return f"({_py_source(node.left)} + {_py_source(node.right)})"
-    if isinstance(node, Sub):
-        return f"({_py_source(node.left)} - {_py_source(node.right)})"
-    if isinstance(node, Mul):
-        return f"({_py_source(node.left)} * {_py_source(node.right)})"
-    if isinstance(node, Div):
-        return f"({_py_source(node.left)} / {_py_source(node.right)})"
-    if isinstance(node, Pow):
-        return f"({_py_source(node.base)}) ** ({node.exponent})"
-    if isinstance(node, Neg):
-        return f"(-({_py_source(node.operand)}))"
-    if isinstance(node, Call):
-        return f"np.{node.func}({_py_source(node.arg)})"
-    raise TypeError(f"unhandled node {node!r}")  # pragma: no cover
-
-
 def compile_evaluator(*exprs: "Expression"):
     """Build a numpy-vectorized callable of the expressions' variables.
 
     The callable takes one array per variable (positionally, in the
     variable order the expressions share) and always returns an array of
     the broadcast shape, or for several expressions a tuple of them, one
-    per expression.  Used to take expression evaluation out of hot
-    integration loops; no finiteness checks are performed, unlike
-    :meth:`Expression.evaluate`.
+    per expression.  Its body assigns one local per distinct operator node,
+    so a subexpression the expressions share is computed once.  Used to
+    take expression evaluation out of hot integration loops; no finiteness
+    checks are performed, unlike :meth:`Expression.evaluate`.
     """
     variables = exprs[0].variables
-    values = [f"({_py_source(e.root)}) + 0.0 * {variables[0]}" for e in exprs]
-    body = values[0] if len(exprs) == 1 else f"({', '.join(values)})"
-    return eval(f"lambda {', '.join(variables)}: {body}", {"np": np, "__builtins__": {}})
+    names: dict[int, str] = {}
+    lines = [f"def _f({', '.join(variables)}):"]
+    for node in _post_order([e.root for e in exprs]):
+        op, args, value = node
+        if op == "const":
+            names[id(node)] = repr(float(value))
+        elif op == "var":
+            names[id(node)] = value
+        else:
+            name = f"_{len(lines)}"
+            lines.append(f"    {name} = " + _OPS[op].source.format(*[names[id(a)] for a in args], k=value))
+            names[id(node)] = name
+    lines.append(f"    _z = 0.0 * {variables[0]}")
+    lines.append("    return " + ", ".join(f"{names[id(e.root)]} + _z" for e in exprs))
+    namespace = {"np": np, "__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["_f"]
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
-
-def _print(node: Node) -> tuple[str, int]:
-    """Render a node, returning (text, precedence of the outermost operator)."""
-    if isinstance(node, Const):
-        if node.value < 0 or (node.value == 0 and math.copysign(1, node.value) < 0):
-            return "-" + repr(-node.value), _PREC_NEG
-        return repr(node.value), _PREC_ATOM
-    if isinstance(node, Var):
-        return node.name, _PREC_ATOM
-    if isinstance(node, Call):
-        inner, _ = _print(node.arg)
-        return f"{node.func}({inner})", _PREC_ATOM
-    if isinstance(node, Neg):
-        text = _wrap(node.operand, _PREC_NEG)
-        return "-" + text, _PREC_NEG
-    if isinstance(node, Pow):
-        base = _wrap(node.base, _PREC_POW, allow_equal=True)
-        if node.exponent < 0:
-            return f"{base}^(-{-node.exponent})", _PREC_POW
-        return f"{base}^{node.exponent}", _PREC_POW
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = _wrap(node.left, _PREC_ADD, allow_equal=True)
-        right = _wrap(node.right, _PREC_ADD)
-        return f"{left}{op}{right}", _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left = _wrap(node.left, _PREC_MUL, allow_equal=True)
-        right = _wrap(node.right, _PREC_MUL)
-        return f"{left}{op}{right}", _PREC_MUL
-    raise TypeError(f"unhandled node {node!r}")  # pragma: no cover
-
-
-def _wrap(node: Node, parent_prec: int, allow_equal: bool = False) -> str:
-    text, prec = _print(node)
-    if prec > parent_prec or (allow_equal and prec == parent_prec):
-        return text
-    return f"({text})"
+def _print(root: Node) -> str:
+    """Render a node; each distinct node's (text, precedence) is built once, after its arguments'."""
+    done: dict[int, tuple[str, int]] = {}
+    for node in _post_order([root]):
+        op, args, value = node
+        if op == "const":
+            if value < 0 or (value == 0 and math.copysign(1, value) < 0):
+                done[id(node)] = "-" + repr(-value), _NEG
+            else:
+                done[id(node)] = repr(value), _ATOM
+        elif op == "var":
+            done[id(node)] = value, _ATOM
+        else:
+            row = _OPS[op]
+            parts = [done[id(a)] for a in args]
+            texts = [text if prec >= least else f"({text})" for (text, prec), least in zip(parts, row.prec[1:])]
+            k = f"({value})" if op == "pow" and value < 0 else value
+            done[id(node)] = row.text.format(*texts, k=k), row.prec[0]
+    return done[id(root)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +374,29 @@ class _Parser:
         return node
 
     def sum(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
-                return node
+        return self.infix(self.term, {"+": "add", "-": "sub"})
 
     def term(self) -> Node:
-        node = self.unary()
+        return self.infix(self.unary, {"*": "mul", "/": "div"})
+
+    def infix(self, operand, ops: dict[str, str]) -> Node:
+        """A left-associative chain of ``operand``s joined by the operators ``ops``."""
+        node = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
+            if kind != "op" or text not in ops:
                 return node
+            self.next()
+            node = Node(ops[text], (node, operand()))
 
     def unary(self) -> Node:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.next()
             operand = self.unary()
-            if isinstance(operand, Const):
+            if operand.op == "const":
                 return Const(-operand.value)
-            return Neg(operand)
+            return Node("neg", (operand,))
         return self.power()
 
     def power(self) -> Node:
@@ -440,7 +405,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text == "^":
                 self.next()
-                node = Pow(node, self.exponent())
+                node = Node("pow", (node,), self.exponent())
             else:
                 return node
 
@@ -473,7 +438,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.sum()
                 self.expect_op(")")
-                return Call(text, arg)
+                return Node(text, (arg,))
             if text in self.variables:
                 return Var(text)
             raise UnknownIdentifierError(text, offset)
@@ -532,7 +497,7 @@ class Expression:
         return Expression(_diff(self.root, var, {}), self.variables)
 
     def __str__(self) -> str:
-        return _print(self.root)[0]
+        return _print(self.root)
 
     # Arithmetic helpers used when combining fields; results stay immutable.
     def _wrap_node(self, node: Node) -> "Expression":

@@ -35,7 +35,7 @@ from .bracket import FOUR_PI, BracketTable, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
 from .errors import DegenerateInputError, InterpolationDominatesWarning, NoConvergenceError
 from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
-from .expr import Const, compile_evaluator
+from .expr import compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
 from .scheme import DEFAULT_T_GRID, SplittingScheme
 
@@ -321,7 +321,8 @@ class StaticHamiltonian:
         field, mesh = self.field, self.field.mesh
         if field.expr is not None:
             # a partial folded to the constant +0 would give +0 at every finite point: the float 0.0 rounds the same
-            grads = [(lambda pts: 0.0) if d.root == Const(0.0) and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
+            grads = [(lambda pts: 0.0) if d.root.op == "const" and d.root.value == 0.0
+                     and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
                      for d in map(field.expr.diff, mesh.coord_names)]
         else:
             if mesh.kind == "torus":

@@ -113,6 +113,16 @@ def test_ok_run_exits_zero(tmp_path):
     assert run(["qn", "--spec", spec, "--n", "2"]) == 0
 
 
+def test_a_power_that_does_not_fold_runs(tmp_path, capsys):
+    """The derivative of (1e-200)^(-1) holds (1e-200)^(-2), which overflows a float fold."""
+    plain = write_spec(tmp_path, "plain.json", level=3, f="1 - 2*x^2", n_max=3)
+    assert run(["qn", "--spec", plain]) == 0
+    want = capsys.readouterr().out
+    spec = write_spec(tmp_path, level=3, f="1 - 2*x^2 + (1e-200)^(-1)*0", n_max=3)
+    assert run(["qn", "--spec", spec]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_malformed_expression_exits_one(tmp_path, capsys):
     spec = write_spec(tmp_path, f="x +* y", level=3)
     assert run(["qstate", "--spec", spec]) == 1
@@ -426,6 +436,16 @@ def test_flow_order_reports_fit(tmp_path, capsys):
     lines = (tmp_path / "fit.csv").read_bytes().decode().split("\r\n")
     assert lines[0].startswith("op,t,error")
     assert any(l.startswith("fit,") for l in lines)
+
+
+def test_flow_order_on_a_long_sum(tmp_path):
+    """250 shear terms compile to straight-line code: no nesting limit."""
+    spec = write_spec(
+        tmp_path, manifold="torus", torus_n=16,
+        f=" + ".join(f"0.001*sin(2*pi*{k}*q)" for k in range(1, 251)), g="0.2*cos(2*pi*p)",
+        t_grid=[1e-4, 5e-5, 2.5e-5, 1.25e-5],
+    )
+    assert run(["flow-order", "--spec", spec, "--order", "2"]) == 0
 
 
 def test_remainder_reports_exponent(tmp_path, capsys):

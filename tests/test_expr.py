@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symflow.expr import (
@@ -23,6 +23,13 @@ def fd_partial(expr, var, point, h=1e-5):
     hi[var] = point[var] + h
     lo[var] = point[var] - h
     return (expr.evaluate(hi) - expr.evaluate(lo)) / (2 * h)
+
+
+def cs_partial(expr, var, point, h=1e-30):
+    """Independent derivative oracle without subtraction: the complex step
+    Im f(x + ih) / h through the compiled evaluator (Squire & Trapp, SIAM Review 40, 1998)."""
+    args = [np.array([point[v] + (1j * h if v == var else 0.0)]) for v in expr.variables]
+    return compile_evaluator(expr)(*args)[0].imag / h
 
 
 def test_parse_structure():
@@ -105,13 +112,29 @@ FIXED_CASES = [
 
 @pytest.mark.parametrize("source", FIXED_CASES)
 def test_compiled_matches_interpreted(source):
+    """Bitwise, on each case and its first and second partials, and on a
+    (partial, its partial) pair compiled together as ``recognize_flow`` does."""
     e = parse(source, VARS)
-    fn = compile_evaluator(e)
     pts = np.random.default_rng(11).uniform(-0.9, 0.9, (40, 3))
-    got = fn(pts[:, 0], pts[:, 1], pts[:, 2])
-    want = e.eval_at(pts)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+    firsts = [e.diff(v) for v in VARS]
+    for d in [e, *firsts, *(d.diff(w) for d in firsts for w in VARS)]:
+        got = compile_evaluator(d)(*pts.T)
+        assert got.shape == (40,)
+        assert np.array_equal(got, d.eval_at(pts)), str(d)
+    for v, d in zip(VARS, firsts):
+        rate, curvature = compile_evaluator(d, d.diff(v))(*pts.T)
+        assert np.array_equal(rate, d.eval_at(pts))
+        assert np.array_equal(curvature, d.diff(v).eval_at(pts))
+
+
+def test_long_sums_compile_and_print():
+    """A compiled evaluator is straight-line code and printing walks a loop,
+    so neither meets a nesting limit on a long sum."""
+    e = parse(" + ".join(f"0.001*sin({k}*x)*y - z/{k}" for k in range(1, 301)), VARS)
+    pts = np.random.default_rng(3).uniform(-0.9, 0.9, (25, 3))
+    assert np.array_equal(compile_evaluator(e)(*pts.T), e.eval_at(pts))
+    printed = str(parse(" + ".join(f"{k}*x^{k % 5}" for k in range(1, 601)), VARS))
+    assert str(parse(printed, VARS)) == printed
 
 
 def test_compiled_constant_broadcasts():
@@ -157,6 +180,15 @@ def test_diff_constant_folding():
     assert str(e.diff("y")) == "0.0"
     e = parse("x^2", VARS)
     assert str(e.diff("x")) == "2.0*x"
+
+
+def test_diff_keeps_a_power_that_does_not_fold():
+    """(1e-200)^(-2) overflows and 0^(-2) divides by zero: such a power stays a node."""
+    assert str(parse("x + (1e-200)^(-1)", VARS).diff("x")) == "1.0"
+    assert str(parse("x + 0^(-1)", VARS).diff("x")) == "1.0"
+    d = parse("(1e-200)^(-1)*x", VARS).diff("x")
+    assert str(d) == "1e-200^(-1)"
+    assert d.evaluate({"x": 0.5, "y": 0.0, "z": 0.0}) == 1e200
 
 
 def test_derivative_of_constant_is_zero_everywhere():
@@ -213,19 +245,17 @@ def test_diff_linearity(src_a, src_b):
 
 
 @given(_expr_text)
+@example("(x+(((pi)^4)^2)^2)")  # a central difference cancels on the constant: 0.99987 against 1.0
 @settings(max_examples=80, deadline=None)
-def test_random_diff_against_fd(source):
+def test_random_diff_against_complex_step(source):
     e = parse(source, VARS)
     point = {"x": 0.31, "y": 0.17, "z": -0.43}
     for var in VARS:
-        d = e.diff(var)
-        got = d.evaluate(point)
-        want = fd_partial(e, var, point)
-        scale = 1 + abs(got)
-        assert abs(got - want) <= 2e-5 * scale
+        got = e.diff(var).evaluate(point)
+        assert abs(got - cs_partial(e, var, point)) <= 1e-12 * (1 + abs(got))
 
 
 def test_immutability():
     e = parse("x+y", VARS)
-    with pytest.raises(Exception):
-        e.root.left = None  # frozen dataclass
+    with pytest.raises(AttributeError):
+        e.root.op = "sub"
