@@ -247,7 +247,9 @@ def test_diff_linearity(src_a, src_b):
 @given(_expr_text)
 @example("(x+(((pi)^4)^2)^2)")  # a central difference cancels on the constant: 0.99987 against 1.0
 @settings(max_examples=80, deadline=None)
-def test_random_diff_against_complex_step(source):
+def test_random_diff_against_fd(source):
+    # The reference is a complex step, a finite difference along the imaginary axis
+    # that does not cancel on large constants.
     e = parse(source, VARS)
     point = {"x": 0.31, "y": 0.17, "z": -0.43}
     for var in VARS:
