@@ -19,10 +19,12 @@ monomials have root F and letters ``F``/``G`` after the core bracket
 :class:`BracketTable`, the one bracket engine, computes the words as a trie,
 each once from its parent.  For expression-backed fields it never builds a
 bracket expression: every word is a jet, the truncated Taylor coefficients
-``d^alpha A / alpha!`` at each mesh point, taken from the exact symbolic
-derivatives of each distinct field; a bracket ``sum_ij Pi_ij d_i A d_j H`` is
-a truncated product of jets that drops the order by one (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+``d^alpha A / alpha!`` at each mesh point.  Each distinct field's jet comes
+from one walk of its expression DAG: polynomial subtrees stay exact and become
+jets through one matrix product, everything else is truncated Taylor
+arithmetic; a bracket ``sum_ij Pi_ij d_i A d_j H`` is a truncated product of
+jets that drops the order by one (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, MeshMismatchError, OutOfRangeError, SymbolicRequiredError
-from .expr import Expression, Var
+from .errors import DegenerateInputError, MeshMismatchError, NonFiniteError, OutOfRangeError, SymbolicRequiredError
+from .expr import _OPS, Expression, Var, _post_order
 from .manifold import NORMS, ScalarField, SphereTri, TorusGrid
 
 __all__ = [
     "OutOfRangeError",
     "SymbolicRequiredError",
     "DegenerateInputError",
+    "NonFiniteError",
     "LieMonomial",
     "BracketTable",
     "poisson",
@@ -164,11 +168,11 @@ def _product_table(dim: int, order: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _jet_product(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Truncated product of two jets of at least ``order``."""
-    out = np.zeros((_jet_size(dim, order), a.shape[1]))
+def _jet_product(a: list, b: list, dim: int, order: int) -> np.ndarray:
+    """Truncated ``sum_k a[k] * b[k]`` of two lists of jets of at least ``order``."""
+    out = np.zeros((_jet_size(dim, order), a[0].shape[1]))
     for row, targets in enumerate(_product_table(dim, order)):
-        out[targets] += a[row] * b[: len(targets)]
+        out[targets] += functools.reduce(operator.add, (x[row] * y[: len(targets)] for x, y in zip(a, b)))
     return out
 
 
@@ -186,18 +190,128 @@ def _jet_times_coordinate(jet: np.ndarray, i: int, base: np.ndarray, dim: int, o
     return out
 
 
-def _taylor_jet(expr: Expression, mesh, order: int) -> np.ndarray:
-    """Jet of an expression at the mesh points, from its exact symbolic derivatives."""
-    names = mesh.coord_names
-    alphas = _multi_indices(len(names), order)
-    derivatives = {alphas[0]: expr}
-    jet = np.empty((len(alphas), mesh.n_points))
-    for row, alpha in enumerate(alphas):
-        if row:
-            i = next(k for k, a in enumerate(alpha) if a)
-            parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            derivatives[alpha] = derivatives[parent].diff(names[i])
-        jet[row] = derivatives[alpha].eval_at(mesh.points) / math.prod(map(math.factorial, alpha))
+# ---------------------------------------------------------------------------
+# Field jets: one walk of the expression DAG
+# ---------------------------------------------------------------------------
+#
+# A subtree of constants, variables, + - *, unary -, / by a nonzero constant and non-negative
+# integer ^ stays an exact polynomial {exponents: coefficient}; it becomes a jet at the root or
+# under any other node, which is truncated Taylor arithmetic on jets.
+
+_EXACT_TERMS = 512  # a polynomial stays exact while the monomials up to its degree number at most this
+
+
+@functools.cache
+def _taylor_shift(dim: int, degree: int) -> tuple:
+    """Tables for polynomials of ``degree``: the row of each monomial; per ``(alpha, beta)`` the row
+    of ``alpha + beta`` (one past the last when it is of higher degree) and ``binom(alpha + beta, alpha)``;
+    per ``beta`` the row of ``beta - e_i`` and ``i``, for the first ``i`` with ``beta_i > 0``."""
+    alphas = _multi_indices(dim, degree)
+    rows = {a: r for r, a in enumerate(alphas)}
+    sums = [[rows.get(tuple(map(operator.add, a, b)), len(alphas)) for b in alphas] for a in alphas]
+    binom = [[math.prod(map(math.comb, map(operator.add, a, b), a)) for b in alphas] for a in alphas]
+    var = [next((i for i, x in enumerate(b) if x), 0) for b in alphas]
+    parent = [rows[b[:i] + (max(b[i] - 1, 0),) + b[i + 1:]] for b, i in zip(alphas, var)]
+    return rows, np.array(sums), np.array(binom, dtype=float), np.array(parent), np.array(var)
+
+
+def _poly_jet(poly: dict, points: np.ndarray, order: int) -> np.ndarray:
+    """Jet of an exact polynomial: row alpha is ``sum_m c_m binom(m, alpha) x^(m - alpha)``, one
+    matrix product per degree of alpha, so that a lower order is bitwise a truncation."""
+    dim, degree = points.shape[1], max(map(sum, poly))
+    rows, sums, binom, parent, var = _taylor_shift(dim, degree)
+    coef = np.zeros(len(rows) + 1)
+    coef[[rows[m] for m in poly]] = list(poly.values())
+    shift, powers, cols = coef[sums] * binom, np.ones((len(rows), len(points))), np.ascontiguousarray(points.T)
+    for j in range(1, degree + 1):
+        lo, hi = _jet_size(dim, j - 1), _jet_size(dim, j)
+        np.multiply(powers[parent[lo:hi]], cols[var[lo:hi]], out=powers[lo:hi])
+    jet = np.zeros((_jet_size(dim, order), len(points)))
+    for j in range(min(order, degree) + 1):
+        lo, hi, width = _jet_size(dim, j - 1), _jet_size(dim, j), _jet_size(dim, degree - j)
+        np.matmul(shift[lo:hi, :width], powers[:width], out=jet[lo:hi])
+    return jet
+
+
+def _poly_op(op: str, args: list, scalars: list, k, dim: int) -> dict | None:
+    """``op`` on exact polynomials; None when the result is not one or would pass the cap."""
+    a, b = args[0], args[-1]
+    if op in ("add", "sub", "neg"):
+        out, sign = {} if op == "neg" else dict(a), 1.0 if op == "add" else -1.0
+        for m, c in b.items():
+            out[m] = out.get(m, 0.0) + sign * c
+        return out
+    if op == "div" and scalars[1]:
+        return {m: c / scalars[1] for m, c in a.items()}
+    if op != "mul" and not (op == "pow" and k >= 0):
+        return None
+    degree = sum(max(map(sum, f)) for f in args) if op == "mul" else max(map(sum, a)) * k
+    if math.comb(degree + dim, dim) > _EXACT_TERMS:
+        return None
+    factors = args if op == "mul" else [a] * k
+    out = factors[0] if factors else {(0,) * dim: 1.0}
+    for f in factors[1:]:
+        product: dict = {}
+        for (m, c), (n, d) in itertools.product(out.items(), f.items()):
+            key = tuple(map(operator.add, m, n))
+            product[key] = product.get(key, 0.0) + c * d
+        out = product
+    return out
+
+
+def _compose(op: str, k, u: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Jet of sin, cos, exp or ``^k`` of the jet ``u``: Horner's rule in the nilpotent
+    ``v = u - u0`` on the Taylor coefficients ``f^(j)(u0) / j!``."""
+    u0, top = u[0], order if op != "pow" or k < 0 else min(order, k)
+    if op == "pow":  # the j-th derivative of u^k is k (k - 1) ... (k - j + 1) u^(k - j), also for k < 0
+        derivatives = [math.prod(range(k - j + 1, k + 1)) * np.power(u0, float(k - j)) for j in range(top + 1)]
+    else:
+        cycle = [np.exp(u0)] if op == "exp" else [np.sin(u0), np.cos(u0), -np.sin(u0), -np.cos(u0)]
+        derivatives = [cycle[(j + (op == "cos")) % len(cycle)] for j in range(top + 1)]
+    v, out = u.copy(), np.zeros_like(u)
+    v[0], out[0] = 0.0, derivatives[top] / math.factorial(top)
+    for j in range(top - 1, -1, -1):
+        out = _jet_product([out], [v], dim, order)
+        out[0] += derivatives[j] / math.factorial(j)
+    return out
+
+
+def _jet_op(op: str, args: list, scalars: list, k, points: np.ndarray, order: int) -> np.ndarray:
+    """``op`` as truncated Taylor arithmetic on jets; a constant factor or divisor stays a scalar."""
+    dim = points.shape[1]
+    u = [a if isinstance(a, np.ndarray) else _poly_jet(a, points, order) for a in args]
+    if op in ("mul", "div") and scalars[-1] is not None or op == "mul" and scalars[0] is not None:
+        return _OPS[op].fn(*(x if c is None else c for x, c in zip(u, scalars)))
+    if op in ("add", "sub", "neg"):
+        return _OPS[op].fn(*u)
+    if op == "div":
+        u[1] = _compose("pow", -1, u[1], dim, order)
+    return _jet_product(u[:1], u[1:], dim, order) if op in ("mul", "div") else _compose(op, k, u[0], dim, order)
+
+
+def _field_jet(expr: Expression, mesh, order: int) -> np.ndarray:
+    """Jet of an expression at the mesh points, from one post-order walk of its DAG; raises
+    :class:`NonFiniteError`, naming the expression, on a coefficient that is not finite."""
+    names, points = mesh.coord_names, mesh.points
+    dim, zero = len(names), (0,) * len(names)
+    units = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(names)}
+    done: dict[int, object] = {}
+    with np.errstate(all="ignore"):
+        for node in _post_order([expr.root]):
+            op, args, k = node
+            args = [done[id(a)] for a in args]
+            scalars = [a.get(zero) if isinstance(a, dict) and len(a) == 1 else None for a in args]
+            if not args:
+                out = {zero: k} if op == "const" else {units[k]: 1.0}
+            elif None not in scalars:  # a constant, as Expression.evaluate computes it
+                out = {zero: float(_OPS[op].fn(*scalars, *(() if k is None else (k,))))}
+            else:
+                exact = isinstance(args[0], dict) and isinstance(args[-1], dict)
+                out = (exact and _poly_op(op, args, scalars, k, dim)) or _jet_op(op, args, scalars, k, points, order)
+            done[id(node)] = out
+        jet = out if isinstance(out, np.ndarray) else _poly_jet(out, points, order)
+    if not np.all(np.isfinite(jet)):
+        raise NonFiniteError(f"field {expr} has a non-finite derivative of order <= {order} on the mesh")
     return jet
 
 
@@ -258,13 +372,14 @@ class BracketTable:
     Words form a trie built on demand: the word ``w + (letter,)`` is the
     bracket of the word ``w`` with that letter's Hamiltonian, so each word is
     computed once.  For expression-backed fields every word is a jet of order
-    ``depth - len(w)``, starting from one jet per distinct field; all children
-    of a word share its gradient.  Other fields use the finite-difference
-    :func:`poisson`, which refuses four or more brackets unless
-    ``allow_numeric`` is set.  ``BracketTable(f, g, depth)`` has root F and
-    letters F and G, and reads every word behind the letter G (the core
-    bracket ``{F, G}``), as :meth:`q_norm` and :meth:`khl_ratio` expect;
-    :meth:`rooted` builds any other table.
+    ``depth - len(w)``, starting from one jet per distinct field, built at
+    construction (:class:`NonFiniteError`, naming the field, if a coefficient
+    is not finite); all children of a word share its gradient.  Other fields
+    use the finite-difference :func:`poisson`, which refuses four or more
+    brackets unless ``allow_numeric`` is set.  ``BracketTable(f, g, depth)``
+    has root F and letters F and G, and reads every word behind the letter G
+    (the core bracket ``{F, G}``), as :meth:`q_norm` and :meth:`khl_ratio`
+    expect; :meth:`rooted` builds any other table.
     """
 
     def __init__(self, f: ScalarField, g: ScalarField, depth: int, allow_numeric: bool = False):
@@ -296,7 +411,7 @@ class BracketTable:
         if symbolic:
             self._dim = len(self.mesh.coord_names)
             distinct = {id(h): h.expr for h in (root, *letters.values())}
-            grads = {k: self._gradient(_taylor_jet(e, self.mesh, depth), depth) for k, e in distinct.items()}
+            grads = {k: self._gradient(_field_jet(e, self.mesh, depth), depth) for k, e in distinct.items()}
             self._vectors = {name: self._hamiltonian_vector(grads[id(h)]) for name, h in letters.items()}
             self._gradients: dict[tuple, list[np.ndarray]] = {(): grads[id(root)]}
 
@@ -308,10 +423,10 @@ class BracketTable:
         if self.mesh.kind == "torus":
             return [grad[1], -grad[0]]
         order = self.depth - 1
-        pts = self.mesh.points
+        cols = self.mesh.points.T.copy()  # contiguous coordinate columns
 
         def times_x(j: int, i: int) -> np.ndarray:
-            return _jet_times_coordinate(grad[j], i, pts[:, i], 3, order)
+            return _jet_times_coordinate(grad[j], i, cols[i], 3, order)
 
         # 4*pi * x . (grad A x grad H) = grad A . (4*pi * grad H x x)
         return [
@@ -320,7 +435,7 @@ class BracketTable:
         ]
 
     def _bracket(self, grad: list[np.ndarray], letter, order: int) -> np.ndarray:
-        return sum(_jet_product(a, v, self._dim, order) for a, v in zip(grad, self._vectors[letter]))
+        return _jet_product(grad, self._vectors[letter], self._dim, order)
 
     def _jet(self, word: tuple) -> np.ndarray:
         jet = self._jets.get(word)

@@ -279,7 +279,8 @@ def compile_evaluator(*exprs: "Expression"):
     for node in _post_order([e.root for e in exprs]):
         op, args, value = node
         if op == "const":
-            names[id(node)] = repr(float(value))
+            text = repr(float(value))
+            names[id(node)] = {"inf": "np.inf", "-inf": "-np.inf", "nan": "np.nan"}.get(text, text)
         elif op == "var":
             names[id(node)] = value
         else:

@@ -1,12 +1,19 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from symflow import bracket
 from symflow.bracket import (
     BracketTable,
     DegenerateInputError,
     LieMonomial,
+    NonFiniteError,
     OutOfRangeError,
     SymbolicRequiredError,
+    _multi_indices,
     enumerate_monomials,
     eval_monomial,
     khl_ratio,
@@ -286,3 +293,117 @@ def test_table_reads_every_depth(sphere):
         assert table.q_norm(n) == q_norm(n, f, g)
     with pytest.raises(OutOfRangeError):
         table.q_norm(6)
+
+
+# ---------------------------------------------------------------------------
+# One-walk field jets against the symbolic derivatives they replace
+# ---------------------------------------------------------------------------
+
+
+def symbolic_taylor_jet(expr, mesh, order):
+    """Test-only copy of the engine's earlier jet: one ``Expression.diff`` per
+    multi-index and one ``eval_at`` per derivative."""
+    names = mesh.coord_names
+    alphas = _multi_indices(len(names), order)
+    derivatives = {alphas[0]: expr}
+    jet = np.empty((len(alphas), mesh.n_points))
+    for row, alpha in enumerate(alphas):
+        if row:
+            i = next(k for k, a in enumerate(alpha) if a)
+            parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            derivatives[alpha] = derivatives[parent].diff(names[i])
+        jet[row] = derivatives[alpha].eval_at(mesh.points) / math.prod(map(math.factorial, alpha))
+    return jet
+
+
+# Every node op, on the exact polynomial path and on the dense path: constants,
+# variables, + - * /, unary -, ^ with positive, zero and negative exponents,
+# sin, cos, exp; a power of degree 12, a cancelling difference and a sum whose
+# degree passes the exact cap.
+JET_CASES = {
+    "torus": [
+        "2.5", "q", "q + p - 0.5", "q*p - p", "(q - p)/3", "-(q*p^2)", "q^3*p^2", "(q + 1)^0",
+        "(q + 1)^(-3)", "1/(2 + q*p)", "sin(2*pi*q)", "cos(2*pi*p)*sin(q*p)", "exp(sin(2*pi*q) - p)",
+        "2*sin(q)", "sin(p)*3 - cos(q)/4", "-exp(q)", "sin(q*p)^3", "sin(q)^0", "(2 + cos(p))^(-2)",
+        "sin(2*pi*q)*exp(cos(2*pi*p))", "cos(2*pi*q)^3 + 1/(2 + sin(2*pi*p))",
+        "q*sin(1) + exp(0.5) - (1e-200)^(-1)*0", "(q - p)^12", "(q + p)^9 - (q - p)^9",
+    ],
+    "sphere": [
+        "2.5", "x", "x + y - z", "x*y*z", "(x - y)/3", "-(x*y^2)", "x^3*y^2*z", "(z + 3)^0",
+        "(x + 2)^(-2)", "x/(3 + y*z)", "sin(2*x)", "exp(z)*cos(x*y)", "x^3 - 2*y*z + sin(y)",
+        "exp(z) + 1/(2 + x)", "(1 - 2*x^2) + 0.1*(x*y*z - y^3)",
+        "(x - y)^12", "(x + y)^9 - (x - y)^9",
+    ],
+}
+LONG_SUM_DEGREE = {"torus": 40, "sphere": 14}
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_field_jets_match_the_symbolic_derivatives(surface):
+    mesh = build_torus(16, 16) if surface == "torus" else build_sphere(3)
+    first, second = mesh.coord_names[:2]
+    top = LONG_SUM_DEGREE[surface]
+    long_sum = " + ".join(f"{1 / k}*{first}^{k}*{second}^{k % 3}" for k in range(1, top + 1))
+    assert math.comb(top + len(mesh.coord_names), len(mesh.coord_names)) > bracket._EXACT_TERMS  # degree >= top
+    for source in JET_CASES[surface] + [long_sum]:
+        expr = sample(mesh, source).expr
+        for order in range(7):
+            want = symbolic_taylor_jet(expr, mesh, order)
+            got = bracket._field_jet(expr, mesh, order)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), axis=1)
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale), (source, order)
+
+
+def test_sphere_jets_against_sympy():
+    """A depth-4 monomial and q_5 of a random-cubic pair on the level-3 sphere,
+    against left-nested brackets computed by sympy on exact rationals."""
+    import sympy
+
+    mesh = build_sphere(3)
+    cubic = ["x", "y", "z", "x^2", "y^2", "z^2", "x*y", "y*z", "x*z", "x^3", "y^3", "z^3",
+             "x^2*y", "x^2*z", "y^2*x", "y^2*z", "z^2*x", "z^2*y", "x*y*z"]
+    rng = np.random.default_rng(2024)
+    sources = [
+        base + " + 0.1*(" + " + ".join(f"({c:.17g})*{m}" for c, m in zip(rng.uniform(-1, 1, len(cubic)), cubic)) + ")"
+        for base in ("1 - 2*x^2", "1 - 2*y^2")
+    ]
+    f, g = (sample(mesh, s) for s in sources)
+    gens = sympy.symbols("x y z")
+    fs, gs = (sympy.Poly(sympy.sympify(s.replace("^", "**"), rational=True), *gens) for s in sources)
+    coords = [sympy.Poly(v, *gens) for v in gens]
+
+    def sympy_bracket(a, h):
+        da, dh = [a.diff(v) for v in gens], [h.diff(v) for v in gens]
+        return sum(
+            (coords[i] * (da[(i + 1) % 3] * dh[(i + 2) % 3] - da[(i + 2) % 3] * dh[(i + 1) % 3]) for i in range(3)),
+            sympy.Poly(0, *gens),
+        )
+
+    def sympy_values(word):
+        poly = sympy_bracket(fs, gs)
+        for letter in word:
+            poly = sympy_bracket(poly, fs if letter == "F" else gs)
+        exps, coefs = zip(*poly.terms())
+        terms = np.prod(mesh.points[:, None, :] ** np.array(exps, dtype=float), axis=2)
+        return (4 * np.pi) ** (len(word) + 1) * (terms @ np.array([float(c) for c in coefs]))
+
+    table = BracketTable(f, g, 4)
+    want = {m.word: sympy_values(m.word) for m in enumerate_monomials(4)}
+    got = table.field(("F", "G", "G")).values
+    assert np.max(np.abs(got - want[("F", "G", "G")])) <= 1e-12 * np.max(np.abs(want[("F", "G", "G")]))
+    q5 = sum(np.max(np.abs(v)) for v in want.values())
+    assert abs(q_norm(5, f, g) - q5) <= 1e-12 * q5
+
+
+@pytest.mark.parametrize("source, generation", [("exp(700*x)", 3), ("1e308*x^4", 5)])
+def test_overflowing_jets_fail_at_construction_without_warnings(source, generation):
+    """One case overflows on the dense path (exp), the other on the exact one."""
+    mesh = build_sphere(3)
+    f, g = sample(mesh, source), sample(mesh, "y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=re.escape(str(f.expr))):
+            BracketTable(f, g, generation - 1)
+        with pytest.raises(NonFiniteError, match=re.escape(str(f.expr))):
+            q_norm(generation, f, g)

@@ -127,6 +127,21 @@ def test_compiled_matches_interpreted(source):
         assert np.array_equal(curvature, d.diff(v).eval_at(pts))
 
 
+def test_compiled_non_finite_constants_are_numpy_names():
+    """A constant that is infinite or NaN compiles to ``np.inf``, ``-np.inf`` or
+    ``np.nan``; the callable returns what numpy gives and checks nothing."""
+    ones = np.ones(2)
+    nan = parse("x*1e999 + x*-1e999 + y", ("x", "y")).diff("x")  # folds to the constant NaN
+    assert str(nan) == "nan"
+    for expr, want in [
+        (parse("x*1e999", ("x", "y")), np.inf),
+        (parse("y - x*-1e999", ("x", "y")), np.inf),
+        (parse("x*-1e999", ("x", "y")), -np.inf),
+        (nan, np.nan),
+    ]:
+        np.testing.assert_array_equal(compile_evaluator(expr)(ones, ones), np.full(2, want))
+
+
 def test_long_sums_compile_and_print():
     """A compiled evaluator is straight-line code and printing walks a loop,
     so neither meets a nesting limit on a long sum."""
