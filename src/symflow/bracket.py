@@ -203,16 +203,20 @@ _EXACT_TERMS = 512  # a polynomial stays exact while the monomials up to its deg
 
 @functools.cache
 def _taylor_shift(dim: int, degree: int) -> tuple:
-    """Tables for polynomials of ``degree``: the row of each monomial; per ``(alpha, beta)`` the row
-    of ``alpha + beta`` (one past the last when it is of higher degree) and ``binom(alpha + beta, alpha)``;
-    per ``beta`` the row of ``beta - e_i`` and ``i``, for the first ``i`` with ``beta_i > 0``."""
+    """Tables for polynomials of ``degree``: the row of each monomial; per ``(alpha, beta)`` with
+    ``|beta| <= degree - |alpha|`` the row of ``alpha + beta`` and ``binom(alpha + beta, alpha)``
+    (one past the last row and 0 elsewhere); per ``beta`` the row of ``beta - e_i`` and ``i``, for
+    the first ``i`` with ``beta_i > 0``."""
     alphas = _multi_indices(dim, degree)
     rows = {a: r for r, a in enumerate(alphas)}
-    sums = [[rows.get(tuple(map(operator.add, a, b)), len(alphas)) for b in alphas] for a in alphas]
-    binom = [[math.prod(map(math.comb, map(operator.add, a, b), a)) for b in alphas] for a in alphas]
+    sums, binom = np.full((len(alphas),) * 2, len(alphas)), np.zeros((len(alphas),) * 2)
+    for r, a in enumerate(alphas):
+        betas = alphas[: _jet_size(dim, degree - sum(a))]  # graded order: exactly |beta| <= degree - |alpha|
+        sums[r, : len(betas)] = [rows[tuple(map(operator.add, a, b))] for b in betas]
+        binom[r, : len(betas)] = [math.prod(map(math.comb, map(operator.add, a, b), a)) for b in betas]
     var = [next((i for i, x in enumerate(b) if x), 0) for b in alphas]
     parent = [rows[b[:i] + (max(b[i] - 1, 0),) + b[i + 1:]] for b, i in zip(alphas, var)]
-    return rows, np.array(sums), np.array(binom, dtype=float), np.array(parent), np.array(var)
+    return rows, sums, binom, np.array(parent), np.array(var)
 
 
 def _poly_jet(poly: dict, points: np.ndarray, order: int) -> np.ndarray:
@@ -222,14 +226,14 @@ def _poly_jet(poly: dict, points: np.ndarray, order: int) -> np.ndarray:
     rows, sums, binom, parent, var = _taylor_shift(dim, degree)
     coef = np.zeros(len(rows) + 1)
     coef[[rows[m] for m in poly]] = list(poly.values())
-    shift, powers, cols = coef[sums] * binom, np.ones((len(rows), len(points))), np.ascontiguousarray(points.T)
+    powers, cols = np.ones((len(rows), len(points))), np.ascontiguousarray(points.T)
     for j in range(1, degree + 1):
         lo, hi = _jet_size(dim, j - 1), _jet_size(dim, j)
         np.multiply(powers[parent[lo:hi]], cols[var[lo:hi]], out=powers[lo:hi])
     jet = np.zeros((_jet_size(dim, order), len(points)))
     for j in range(min(order, degree) + 1):
         lo, hi, width = _jet_size(dim, j - 1), _jet_size(dim, j), _jet_size(dim, degree - j)
-        np.matmul(shift[lo:hi, :width], powers[:width], out=jet[lo:hi])
+        np.matmul(coef[sums[lo:hi, :width]] * binom[lo:hi, :width], powers[:width], out=jet[lo:hi])
     return jet
 
 

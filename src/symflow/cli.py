@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 import traceback
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy  # loaded already, by manifold's scipy.spatial
 
-from . import __version__
+from . import HEAP_POLICY, __version__
 from .bracket import MAX_GENERATION, BracketTable, enumerate_monomials, poisson
 from .errors import ConfigError, DegenerateInputError, InvariantViolationError, SymflowError
 from .manifold import NORMS, ScalarField, build_sphere, build_torus, sample
@@ -65,9 +66,9 @@ _L1_CAVEAT = "open problem data, not a verified bound"
 #: Orders of the splitting schemes: Lie-Trotter, Strang and Yoshida's triple jumps.
 _SCHEME_ORDERS = (1, 2, 4, 6, 8)
 
-#: Where this process runs, for the sidecar's ``env``.
+#: Where this process runs, for the sidecar's ``env``; ``heap`` is glibc's heap policy (None off glibc).
 _ENV = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "scipy": scipy.__version__,
-        "platform": sys.platform, "cpu_count": os.cpu_count()}
+        "platform": sys.platform, "cpu_count": os.cpu_count(), "heap": HEAP_POLICY}
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +757,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        started = time.perf_counter()
+        started, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         table, lines = _COMMANDS[args.command](cfg)
         table.meta["wall_time_s"] = time.perf_counter() - started
+        table.meta["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         table.meta["env"] = _ENV
         for line in lines:
             print(line)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -35,7 +36,7 @@ from .bracket import FOUR_PI, BracketTable, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
 from .errors import DegenerateInputError, InterpolationDominatesWarning, NoConvergenceError
 from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
-from .expr import compile_evaluator
+from .expr import Expression, compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
 from .scheme import DEFAULT_T_GRID, SplittingScheme
 
@@ -186,12 +187,17 @@ def _is_negligible(values: np.ndarray, scale: float) -> bool:
     return float(np.max(np.abs(values))) <= _REC_TOL * scale
 
 
+#: recognize_flow's result per (expression object, mesh kind); an entry goes when its expression is collected.
+_RECOGNISED: dict[tuple[int, str], tuple[str, Callable[[float], object]]] = {}
+
+
 def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
     """Classify a Hamiltonian and return ``(label, factory)``.
 
     The factory maps a time ``tau`` to the atomic exact-flow step, so a
     field recognised once can produce flows for many times without
-    repeating the classification.
+    repeating the classification.  The result for an expression is kept
+    while the expression lives: each field is recognised once per process.
 
     Raises
     ------
@@ -199,15 +205,22 @@ def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
         If the field has no expression or falls outside the recognised
         families (sphere linear forms; torus single-coordinate fields).
     """
-    mesh = h.mesh
     if h.expr is None:
         if np.max(np.abs(h.values)) == 0.0:
             return "identity", lambda tau: _Identity()
         raise NotRecognizedError("exact flows need an expression-backed field")
-    probes = default_probes(mesh.kind, n=48, seed=97531)
-    if mesh.kind == "torus":
-        dq = h.expr.diff("q")
-        dp = h.expr.diff("p")
+    key = (id(h.expr), h.mesh.kind)
+    if key not in _RECOGNISED:
+        _RECOGNISED[key] = _recognize_expression(h.expr, h.mesh.kind)
+        weakref.finalize(h.expr, _RECOGNISED.pop, key, None)
+    return _RECOGNISED[key]
+
+
+def _recognize_expression(expr: Expression, kind: str) -> tuple[str, Callable[[float], object]]:
+    probes = default_probes(kind, n=48, seed=97531)
+    if kind == "torus":
+        dq = expr.diff("q")
+        dp = expr.diff("p")
         vq = dq.eval_at(probes)
         vp = dp.eval_at(probes)
         scale = 1.0 + max(np.max(np.abs(vq)), np.max(np.abs(vp)))
@@ -221,14 +234,14 @@ def recognize_flow(h: ScalarField) -> tuple[str, Callable[[float], object]]:
             return f"shear-{axis}", lambda tau: _Shear(axis, rate_fn, jet_fn, tau)
         raise NotRecognizedError("torus field mixes q and p dependence")
     # sphere: require a linear form a*x + b*y + c*z (+ constant)
-    partials = [h.expr.diff(v) for v in ("x", "y", "z")]
+    partials = [expr.diff(v) for v in ("x", "y", "z")]
     grads = np.column_stack([d.eval_at(probes) for d in partials])
     scale = 1.0 + float(np.max(np.abs(grads)))
     spread = grads.max(axis=0) - grads.min(axis=0)
     if np.max(spread) > _REC_TOL * scale:
         raise NotRecognizedError("sphere field is not a linear form")
     axis = grads.mean(axis=0)
-    residual = h.expr.eval_at(probes) - probes @ axis
+    residual = expr.eval_at(probes) - probes @ axis
     if not _is_negligible(residual - residual.mean(), 1.0 + float(np.max(np.abs(residual)))):
         raise NotRecognizedError("sphere field is not a linear form")
     if np.linalg.norm(axis) == 0.0:

@@ -355,6 +355,48 @@ def test_field_jets_match_the_symbolic_derivatives(surface):
             assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale), (source, order)
 
 
+def full_square_poly_jet(poly, points, order):
+    """Test-only copy of the polynomial jet from a table over the full square of ``(alpha, beta)``
+    pairs, with one shift matrix per call."""
+    dim, degree = points.shape[1], max(map(sum, poly))
+    alphas = _multi_indices(dim, degree)
+    rows = {a: r for r, a in enumerate(alphas)}
+    pairs = [[(tuple(x + y for x, y in zip(a, b)), a) for b in alphas] for a in alphas]
+    sums = np.array([[rows.get(s, len(alphas)) for s, _ in line] for line in pairs])
+    binom = np.array([[math.prod(map(math.comb, s, a)) for s, a in line] for line in pairs], dtype=float)
+    var = np.array([next((i for i, x in enumerate(b) if x), 0) for b in alphas])
+    parent = np.array([rows[b[:i] + (max(b[i] - 1, 0),) + b[i + 1:]] for b, i in zip(alphas, var)])
+    coef = np.zeros(len(rows) + 1)
+    coef[[rows[m] for m in poly]] = list(poly.values())
+    shift, powers, cols = coef[sums] * binom, np.ones((len(rows), len(points))), np.ascontiguousarray(points.T)
+
+    def size(j):
+        return math.comb(j + dim, dim)
+
+    for j in range(1, degree + 1):
+        block = slice(size(j - 1), size(j))
+        np.multiply(powers[parent[block]], cols[var[block]], out=powers[block])
+    jet = np.zeros((size(order), len(points)))
+    for j in range(min(order, degree) + 1):
+        block, width = slice(size(j - 1), size(j)), size(degree - j)
+        np.matmul(shift[block, :width], powers[:width], out=jet[block])
+    return jet
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polynomial_jets_from_the_triangle_are_bitwise_the_full_square(dim):
+    rng = np.random.default_rng(18 + dim)
+    points = rng.uniform(-1.5, 1.5, (40, dim))
+    for degree in range(1, 9):
+        alphas = _multi_indices(dim, degree)
+        picks = rng.choice(len(alphas), size=min(len(alphas), 12), replace=False)
+        poly = {alphas[i]: float(c) for i, c in zip(picks, rng.normal(size=len(picks)))}
+        poly[alphas[-1]] = 0.75  # the degree is reached
+        for order in range(degree + 3):
+            got, want = bracket._poly_jet(poly, points, order), full_square_poly_jet(poly, points, order)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), (degree, order)
+
+
 def test_sphere_jets_against_sympy():
     """A depth-4 monomial and q_5 of a random-cubic pair on the level-3 sphere,
     against left-nested brackets computed by sympy on exact rationals."""

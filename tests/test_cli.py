@@ -206,7 +206,8 @@ def test_sidecar_records_the_environment(tmp_path):
     spec = write_spec(tmp_path, out=str(tmp_path / "t"), order=2)
     assert run(["scheme", "--spec", spec]) == 0
     meta = json.loads((tmp_path / "t.json").read_text())
-    assert set(meta["env"]) == {"python", "numpy", "scipy", "platform", "cpu_count"}
+    assert set(meta["env"]) == {"python", "numpy", "scipy", "platform", "cpu_count", "heap"}
+    assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] >= 0
 
 
 def test_reruns_are_byte_identical(tmp_path):

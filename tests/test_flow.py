@@ -57,6 +57,16 @@ def torus_pair(torus):
     )
 
 
+@pytest.fixture
+def fresh_torus_pair(torus):
+    """The torus pair sampled anew: recognition is kept per field for the process, so a test that
+    counts what recognition compiles needs fields no earlier test has recognised."""
+    return (
+        sample(torus, "0.3*sin(2*pi*q)", name="f"),
+        sample(torus, "0.2*cos(2*pi*p)", name="g"),
+    )
+
+
 @pytest.fixture(scope="module")
 def sphere_pair(sphere):
     return (
@@ -588,7 +598,7 @@ def test_torus_velocity_walk_edge_cases_match_the_jacobian_stacks(scheme, case, 
             assert gen.velocity(pts, s).tobytes() == _stacked_velocity(gen, pts, s).tobytes()
 
 
-def test_a_torus_generator_compiles_only_its_shear_evaluators(torus_pair, monkeypatch):
+def test_a_torus_generator_compiles_only_its_shear_evaluators(fresh_torus_pair, monkeypatch):
     """Construction recognises each field (rate, then rate with curvature) and compiles no value or gradient."""
     compiled = []
 
@@ -597,14 +607,14 @@ def test_a_torus_generator_compiles_only_its_shear_evaluators(torus_pair, monkey
         return compile_evaluator(*exprs)
 
     monkeypatch.setattr(flow, "compile_evaluator", counted)
-    f, g = torus_pair
+    f, g = fresh_torus_pair
     CocycleGenerator(strang(), f, g)
     rq, rp = f.expr.diff("q"), g.expr.diff("p")
     assert compiled == [(str(rq),), (str(rq), str(rq.diff("q"))), (str(rp),), (str(rp), str(rp.diff("p")))]
 
 
 @pytest.mark.parametrize("scheme", [strang(), yoshida(4)], ids=lambda sc: sc.label)
-def test_each_torus_stage_makes_one_evaluator_call_per_velocity_call(scheme, torus_pair, monkeypatch):
+def test_each_torus_stage_makes_one_evaluator_call_per_velocity_call(scheme, fresh_torus_pair, monkeypatch):
     """Every compiled evaluator counts its calls: one per stage, rate and curvature together but at the last stage."""
     calls = []
 
@@ -617,7 +627,7 @@ def test_each_torus_stage_makes_one_evaluator_call_per_velocity_call(scheme, tor
         return call
 
     monkeypatch.setattr(flow, "compile_evaluator", counted)
-    f, g = torus_pair
+    f, g = fresh_torus_pair
     gen = CocycleGenerator(scheme, f, g)
     pts = default_probes("torus", 16, seed=30)
     rates = [str(h.field.expr.diff("q" if h.field is f else "p")) for _, h in gen.stages]

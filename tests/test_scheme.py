@@ -1,5 +1,7 @@
 """Splitting scheme coefficients and the empirical order fit."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,22 @@ def test_validate_order_rejects_a_field_without_exact_flow_before_calibrating(mo
     mesh = build_sphere(3)
     with pytest.raises(NotRecognizedError):
         validate_order(strang(), sample(mesh, "1 - 2*x^2"), sample(mesh, "1 - 2*y^2"))
+
+
+def test_validate_order_recognises_each_field_once_per_process(monkeypatch):
+    recognised = []
+    recognise = flow._recognize_expression
+    monkeypatch.setattr(flow, "_recognize_expression", lambda expr, kind: recognised.append(expr) or recognise(expr, kind))
+    mesh = build_torus(16, 16)
+    f, g = sample(mesh, "0.3*sin(2*pi*q)"), sample(mesh, "0.2*cos(2*pi*p)")
+    t_list = (0.1, 0.05, 0.025)
+    first = validate_order(strang(), f, g, t_list=t_list, tol=1e-10)
+    assert [id(e) for e in recognised] == [id(f.expr), id(g.expr)]
+    again = validate_order(strang(), f, g, t_list=t_list, tol=1e-10)
+    assert len(recognised) == 2 and again.rows == first.rows
+    key = (id(f.expr), "torus")
+    assert key in flow._RECOGNISED
+    del f, first, again
+    recognised.clear()
+    gc.collect()
+    assert key not in flow._RECOGNISED
