@@ -574,29 +574,37 @@ def reference_flow(
     a copy of the probes and its endpoints.  One :func:`_rk4` loop runs the first two
     levels, the next as many more as the h^4 law (Hairer, Norsett & Wanner, *Solving
     ODEs I*, II.4) predicts from the last gap, and so on; scanned in order, an overshoot
-    costs time, not identity.  ``h`` gets ``s`` as an array of per-row times.
+    costs time, not identity.  Until a doubling shrinks the gap at least 8x, a
+    prediction of three levels or more is not trusted: the next batch is one level.
+    ``h`` gets ``s`` as an array of per-row times.
 
     Raises
     ------
     NoConvergenceError
-        If the gap never reaches ``tol`` within the step budget.
+        If the gap never reaches ``tol`` within the step budget, or if, once in the h^4
+        range, even 32x per doubling left could not bring it there: then at once.
     """
     ham = _coerce_hamiltonian(h)
     if probes is None:
         probes = default_probes(ham.mesh_kind, n=48, seed=777)
     probes = np.array(probes, dtype=float)
-    batch, prev = [_MIN_STEPS, 2 * _MIN_STEPS], None
+    batch, prev, gaps = [_MIN_STEPS, 2 * _MIN_STEPS], None, []
     while True:
         for n, cur in zip(batch, _rk4(ham, probes, t, batch)):
             if prev is not None:
-                gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
+                gaps.append(gap := float(np.max(point_distances(ham.mesh_kind, cur, prev))))
                 if gap <= tol:
                     return ReferenceFlow(ham, t, n, ham.mesh_kind, gap, probes, cur)
                 if n >= max_steps:
                     raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
             prev = cur
         more = max(1, math.ceil(math.log(gap / tol, 16))) if tol > 0.0 and math.isfinite(gap / tol) else 1
-        batch = [n * 2**j for j in range(1, more + 1) if n * 2 ** (j - 1) < max_steps]
+        reach = [n * 2**j for j in range(1, 64) if n * 2 ** (j - 1) < max_steps]
+        in_range = len(gaps) < 2 or gaps[-2] >= 8.0 * gap  # the h^4 range: 16x per doubling
+        if len(gaps) > 1 and in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
+            raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 law: "
+                                     f"{n * 2**more}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
+        batch = reach[:more if in_range or more <= 2 else 1]
 
 
 def reference_endpoints(

@@ -230,23 +230,26 @@ def _merge_trees(corners: tuple[np.ndarray, ...], order: np.ndarray, rank: np.nd
     """
     v, x, y = corners
     n = rank.size
-    early, x_early = rank[y] < rank[v], rank[x] < rank[v]
+    rank_v = rank[v]
+    early, x_early = rank[y] < rank_v, rank[x] < rank_v
     # Lower and upper runs alternate around the link: as many of each, and
-    # none at an extremum, whose whole link is earlier in one sweep.
-    runs = np.bincount(v[early & ~x_early], minlength=n)
+    # none at an extremum, whose whole link is earlier in one sweep.  (Masks
+    # index through np.flatnonzero: a random boolean mask indexes slowly.)
+    runs = np.bincount(v[np.flatnonzero(early & ~x_early)], minlength=n)
     crit = order[runs[order] != 1]
     node = np.full(n, -1, dtype=np.int64)
     node[crit] = np.arange(crit.size)
-    some_corner = np.empty(n, dtype=np.int64)
-    some_corner[v] = np.arange(v.size)
+    runs_v, some_corner = runs[v], np.empty(n, dtype=np.int64)
+    at = np.flatnonzero(runs_v == 0)  # the corners at extrema
+    some_corner[v[at]] = at
     extremum = some_corner[runs == 0]
     ends, trees = [], []
     for key, below, start in ((-rank, ~early, ~early & x_early), (rank, early, early & ~x_early)):
-        end = np.arange(n)
-        end[v[below]] = y[below]
+        end, at = np.arange(n), np.flatnonzero(below)
+        end[v[at]] = y[at]
         while not np.array_equal(nxt := end[end], end):
             end = nxt
-        run = np.concatenate([np.nonzero(start & (runs[v] > 1))[0], extremum[below[extremum]]])
+        run = np.concatenate([np.flatnonzero(start & (runs_v > 1)), extremum[below[extremum]]])
         run = run[np.argsort(key[v[run]])]
         parent, root = [-1] * crit.size, list(range(crit.size))
         for w, u in zip(node[v[run]].tolist(), node[end[y[run]]].tolist()):
@@ -365,6 +368,20 @@ def _check_placement(rank, node_vertex, lower, upper, node_of_vertex, edge_of_ve
         raise InvariantViolationError(f"vertex {v} is misplaced on edge {int(e[v])}")
 
 
+def _vertex_order(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices by (value, index), and per rank its value class: the first rank with its value.
+
+    An unstable sort, then one integer sort of run * n + index puts each run of equal
+    values (-0.0 and +0.0 share one) in index order, as a stable sort does."""
+    n, order = vals.size, np.argsort(vals)
+    sv = vals[order]
+    first = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))  # of each run
+    run = np.repeat(np.arange(first.size), np.diff(first, append=n))
+    if first.size < n:
+        order = np.sort(run * n + order) - run * n
+    return order, first[run]
+
+
 def build_reeb(f: ScalarField) -> ReebGraph:
     """Build the level-set tree of ``f`` with the area measure on it.
 
@@ -394,12 +411,12 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         g.validate()
         return g
 
-    order = np.argsort(vals, kind="stable")
+    order, value_class = _vertex_order(vals)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    tri = mesh.triangles
-    corners = (tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel())
-    crit, node_of_vertex, (highest, lowest), trees = _merge_trees(corners, order, rank)
+    tri = mesh.triangles  # the corner columns die with the call, before the deposit
+    crit, node_of_vertex, (highest, lowest), trees = _merge_trees(
+        (tri.ravel(), np.roll(tri, -1, axis=1).ravel(), np.roll(tri, 1, axis=1).ravel()), order, rank)
     a, b = _contour_arcs(*trees)
     reg = order[node_of_vertex[order] < 0]
     arc = _place(a, b, node_of_vertex[lowest[reg]], node_of_vertex[highest[reg]],
@@ -413,11 +430,9 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     edge_of_vertex = np.full(n, -1, dtype=np.int64)
     edge_of_vertex[reg] = np.argsort(by_id)[arc]
     _check_placement(rank, crit, e_lower, e_upper, node_of_vertex, edge_of_vertex)
-    node_vals = vals[crit]
-
     g = ReebGraph(
-        crit, node_vals, e_lower, e_upper,
-        *_deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper, node_of_vertex, edge_of_vertex),
+        crit, vals[crit], e_lower, e_upper,
+        *_deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper, node_of_vertex, edge_of_vertex),
         level=mesh.level,
         node_of_vertex=node_of_vertex,
         edge_of_vertex=edge_of_vertex,
@@ -429,6 +444,10 @@ def build_reeb(f: ScalarField) -> ReebGraph:
 #: Largest share of the total mass that one triangle's rounding may leave in
 #: an edge's running density sum; a band too narrow for that counts as flat.
 _DENSITY_ROUNDING = 1e-12
+
+#: Bits of an int64 below its sign: where a knot key and its entry index fit
+#: in them together, the deposit sorts them packed, with one ``np.sort``.
+_KEY_BITS = 63
 
 
 def _segmented_cumsum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -452,7 +471,7 @@ def _segmented_cumsum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _triangle_stats(tri, vals, rank):
-    """Per triangle the lowest, highest and mean value and the middle vertex by rank.
+    """Per triangle the lowest, highest and mean value, the middle vertex, and the lowest and highest rank.
 
     Rounds as the axis-1 ``min``, ``max`` and ``mean`` (a sum from +0.0) of ``vals[tri]``
     and picks the vertex ``argsort`` puts in the middle; a helper, so its temporaries are freed.
@@ -462,10 +481,11 @@ def _triangle_stats(tri, vals, rank):
     r0, r1, r2 = rank[t0], rank[t1], rank[t2]
     rises01, rises12 = r0 < r1, r1 < r2
     mid = np.where(rises01 == rises12, t1, np.where(rises01 != (r0 < r2), t0, t2))
-    return np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2), (0.0 + v0 + v1 + v2) / 3.0, mid
+    return (np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2), (0.0 + v0 + v1 + v2) / 3.0,
+            mid, np.minimum(np.minimum(r0, r1), r2), np.maximum(np.maximum(r0, r1), r2))
 
 
-def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
+def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
                   node_of_vertex, edge_of_vertex):
     """Spread triangle areas over the tree and build per-edge mass profiles.
 
@@ -475,14 +495,16 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     nodes.  A value-degenerate triangle contributes a point mass directly:
     one of width w = 0, or one whose density m / w would leave more than
     ``_DENSITY_ROUNDING`` of rounding, about 2 eps m R / w (R the field's
-    range), in the running density sum.  All (edge, knot value) pairs are
-    sorted once; every edge's sums restart at zero.  Returns the node atoms
-    and the profiles in ``ReebGraph``'s CSR layout: ``start``, ``knots``,
+    range), in the running density sum.  Every knot is some vertex's value,
+    so all (edge, knot) pairs are keyed edge * n + value class and sorted
+    once; every edge's sums restart at zero.  Returns the node atoms and the
+    profiles in ``ReebGraph``'s CSR layout: ``start``, ``knots``,
     ``cum_left`` and ``cum_right``.
     """
-    n_nodes, n_edges = node_vals.size, e_lower.size
+    n_nodes, n_edges, n = crit.size, e_lower.size, rank.size
+    node_vals, node_rank = vals[crit], rank[crit]
     tmass = mesh.tri_masses
-    lo, hi, bary, mid = _triangle_stats(mesh.triangles, vals, rank)
+    lo, hi, bary, mid, r_lo, r_hi = _triangle_stats(mesh.triangles, vals, rank)
     anchor = edge_of_vertex[mid]
 
     # Triangles whose middle vertex is itself a node: route them to an
@@ -498,10 +520,8 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     go_up = ((bary[at] >= node_vals[nid]) & (first_up[nid] < n_edges)) | (first_down[nid] == n_edges)
     anchor[at] = np.where(go_up, first_up[nid], first_down[nid])
 
-    lo_a = node_vals[e_lower[anchor]]
-    hi_a = node_vals[e_upper[anchor]]
-    l_in = np.clip(lo, lo_a, hi_a)
-    h_in = np.clip(hi, lo_a, hi_a)
+    a_lo, a_hi = e_lower[anchor], e_upper[anchor]
+    l_in, h_in = np.clip(np.stack([lo, hi]), node_vals[a_lo], node_vals[a_hi])
     width = hi - lo
     wide = width * _DENSITY_ROUNDING > 2.0 * np.finfo(float).eps * tmass * np.ptp(vals)
     safe_w = np.where(wide, width, 1.0)
@@ -509,31 +529,32 @@ def _deposit_mass(mesh, vals, rank, node_vals, e_lower, e_upper,
     below = np.where(wide, tmass * (l_in - lo) / safe_w, 0.0)
     above = np.where(wide, tmass * (hi - h_in) / safe_w, 0.0)
     atom_mass = np.where(wide, 0.0, tmass)
-    node_atom = np.bincount(np.concatenate([e_lower[anchor], e_upper[anchor]]),
+    node_atom = np.bincount(np.concatenate([a_lo, a_hi]),
                             weights=np.concatenate([below, above]), minlength=n_nodes)
 
     # Knots: both node values of every edge, the ends of every band inside
-    # it, and its atoms, deduplicated per edge after one sort.
+    # it, and its atoms, deduplicated per edge after one sort.  Rank order
+    # is value order, so a band end clipped in ranks has the clipped value.
     seg = np.nonzero(inside > 0)[0]
     pts = np.nonzero(atom_mass > 0)[0]
-    owner = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]])
-    value = np.concatenate([node_vals[e_lower], node_vals[e_upper],
-                            l_in[seg], h_in[seg], l_in[pts]])
-    srt = np.argsort(value)
-    srt = srt[np.argsort(owner[srt], kind="stable")]  # by edge, then by value
-    s_owner, s_value = owner[srt], value[srt]
-    new = np.ones(srt.size, dtype=bool)
-    new[1:] = (s_owner[1:] != s_owner[:-1]) | (s_value[1:] != s_value[:-1])
-    s_knot = np.cumsum(new) - 1
+    r_lo, r_hi = np.clip(np.stack([r_lo, r_hi]), node_rank[a_lo], node_rank[a_hi])
+    key = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]]) * n
+    key += value_class[np.concatenate([node_rank[e_lower], node_rank[e_upper], r_lo[seg], r_hi[seg], r_lo[pts]])]
+    value = np.concatenate([node_vals[e_lower], node_vals[e_upper], l_in[seg], h_in[seg], l_in[pts]])
+    bits = key.size.bit_length()
+    fits = (n_edges * n).bit_length() + bits <= _KEY_BITS
+    srt = np.sort(key << bits | np.arange(key.size)) & ((1 << bits) - 1) if fits else np.argsort(key)
+    s_key = key[srt]
+    first = np.flatnonzero(np.concatenate(([True], s_key[1:] != s_key[:-1])))  # of each knot, in sort order
     knot_of = np.empty(srt.size, dtype=np.int64)
-    knot_of[srt] = s_knot
-    knots = s_value[new]
-    bounds = np.searchsorted(s_owner[new], np.arange(n_edges + 1))
+    knot_of[srt] = np.repeat(np.arange(first.size), np.diff(first, append=srt.size))
+    knots = value[srt[first]]
+    bounds = np.searchsorted(s_key[first], np.arange(n_edges + 1) * n)
     # -0.0 == 0.0: where an edge meets zero with both signs, its knot keeps
     # the sign np.unique picks from the edge's values (its sort is unstable).
-    zero, neg = s_value == 0, np.signbit(s_value)
-    for k in np.intersect1d(s_knot[zero & neg], s_knot[zero & ~neg]).tolist():
-        edge_vals = np.unique(value[owner == s_owner[new][k]])
+    zero, neg = value == 0, np.signbit(value)
+    for k in np.intersect1d(knot_of[zero & neg], knot_of[zero & ~neg]).tolist():
+        edge_vals = np.unique(value[key // n == s_key[first[k]] // n])
         knots[k] = edge_vals[np.searchsorted(edge_vals, 0.0)]
     count = np.diff(bounds)
     k_lo, k_hi, k_pt = np.split(knot_of[2 * n_edges:], [seg.size, 2 * seg.size])

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from symflow import reeb
 from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
 from symflow.reeb import (
+    _DENSITY_ROUNDING,
     _check_placement,
+    _deposit_mass,
     _merge_trees,
+    _segmented_cumsum,
     _triangle_stats,
+    _vertex_order,
     InvariantViolationError,
     MedianPoint,
     NotASphereMeshError,
@@ -764,3 +769,174 @@ def test_placement_check_names_the_misplaced_vertex(sphere4, kind):
     v, eov = _misplace(g, rank, kind)
     with pytest.raises(InvariantViolationError, match=f"^vertex {v} is misplaced on edge {eov[v]}$"):
         _check_placement(*columns, eov)
+
+
+# ---------------------------------------------------------------------------
+# Integer ranks: the vertex order and the one-key mass deposit
+# ---------------------------------------------------------------------------
+
+
+def _zero_fields(level):
+    """The two +-0.0 fields of the triangle-statistics test: all zeros, and zeros of both signs beside steps."""
+    mesh = build_sphere(level)
+    signs = np.random.default_rng(level).random(mesh.n_points) < 0.5
+    return [ScalarField(mesh, np.where(signs, 0.0, -0.0)),
+            ScalarField(mesh, np.where(signs, -0.0, np.round(2.0 * mesh.points[:, 2])))]
+
+
+def _two_sort_deposit(mesh, vals, rank, node_vals, e_lower, e_upper,
+                      node_of_vertex, edge_of_vertex):
+    """The mass deposit with a float sort and a stable sort by edge, as before the integer keys;
+    verbatim but for its name and the four statistics it reads."""
+    n_nodes, n_edges = node_vals.size, e_lower.size
+    tmass = mesh.tri_masses
+    lo, hi, bary, mid = _triangle_stats(mesh.triangles, vals, rank)[:4]
+    anchor = edge_of_vertex[mid]
+
+    # Triangles whose middle vertex is itself a node: route them to an
+    # incident edge on the side of the barycenter value (smallest edge id
+    # for determinism).
+    ids = np.arange(n_edges)
+    first_up = np.full(n_nodes, n_edges)
+    np.minimum.at(first_up, e_lower, ids)
+    first_down = np.full(n_nodes, n_edges)
+    np.minimum.at(first_down, e_upper, ids)
+    at = np.nonzero(anchor < 0)[0]
+    nid = node_of_vertex[mid[at]]
+    go_up = ((bary[at] >= node_vals[nid]) & (first_up[nid] < n_edges)) | (first_down[nid] == n_edges)
+    anchor[at] = np.where(go_up, first_up[nid], first_down[nid])
+
+    lo_a = node_vals[e_lower[anchor]]
+    hi_a = node_vals[e_upper[anchor]]
+    l_in = np.clip(lo, lo_a, hi_a)
+    h_in = np.clip(hi, lo_a, hi_a)
+    width = hi - lo
+    wide = width * _DENSITY_ROUNDING > 2.0 * np.finfo(float).eps * tmass * np.ptp(vals)
+    safe_w = np.where(wide, width, 1.0)
+    inside = np.where(wide, tmass * (h_in - l_in) / safe_w, 0.0)
+    below = np.where(wide, tmass * (l_in - lo) / safe_w, 0.0)
+    above = np.where(wide, tmass * (hi - h_in) / safe_w, 0.0)
+    atom_mass = np.where(wide, 0.0, tmass)
+    node_atom = np.bincount(np.concatenate([e_lower[anchor], e_upper[anchor]]),
+                            weights=np.concatenate([below, above]), minlength=n_nodes)
+
+    # Knots: both node values of every edge, the ends of every band inside
+    # it, and its atoms, deduplicated per edge after one sort.
+    seg = np.nonzero(inside > 0)[0]
+    pts = np.nonzero(atom_mass > 0)[0]
+    owner = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]])
+    value = np.concatenate([node_vals[e_lower], node_vals[e_upper],
+                            l_in[seg], h_in[seg], l_in[pts]])
+    srt = np.argsort(value)
+    srt = srt[np.argsort(owner[srt], kind="stable")]  # by edge, then by value
+    s_owner, s_value = owner[srt], value[srt]
+    new = np.ones(srt.size, dtype=bool)
+    new[1:] = (s_owner[1:] != s_owner[:-1]) | (s_value[1:] != s_value[:-1])
+    s_knot = np.cumsum(new) - 1
+    knot_of = np.empty(srt.size, dtype=np.int64)
+    knot_of[srt] = s_knot
+    knots = s_value[new]
+    bounds = np.searchsorted(s_owner[new], np.arange(n_edges + 1))
+    # -0.0 == 0.0: where an edge meets zero with both signs, its knot keeps
+    # the sign np.unique picks from the edge's values (its sort is unstable).
+    zero, neg = s_value == 0, np.signbit(s_value)
+    for k in np.intersect1d(s_knot[zero & neg], s_knot[zero & ~neg]).tolist():
+        edge_vals = np.unique(value[owner == s_owner[new][k]])
+        knots[k] = edge_vals[np.searchsorted(edge_vals, 0.0)]
+    count = np.diff(bounds)
+    k_lo, k_hi, k_pt = np.split(knot_of[2 * n_edges:], [seg.size, 2 * seg.size])
+
+    d = inside[seg] / (h_in[seg] - l_in[seg])
+    dens_delta = np.bincount(np.concatenate([k_lo, k_hi]), weights=np.concatenate([d, -d]),
+                             minlength=knots.size)
+    density = _segmented_cumsum(dens_delta, count)
+    inner = np.ones(knots.size, dtype=bool)  # knots above their edge's first
+    inner[bounds[:-1]] = False
+    seg_mass = (density[:-1] * np.diff(knots))[inner[1:]]
+    jumps = np.bincount(k_pt, weights=atom_mass[pts], minlength=knots.size)
+    cum_left = np.zeros(knots.size)
+    cum_left[inner] = _segmented_cumsum(seg_mass, count - 1)
+    cum_left += _segmented_cumsum(jumps, count) - jumps
+    return node_atom, bounds, knots, cum_left, cum_left + jumps
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_one_key_deposit_matches_the_two_sort_deposit(level):
+    """All five outputs, byte for byte; the all-zero field is constant and deposits nothing."""
+    zeros, signed = _zero_fields(level)
+    assert build_reeb(zeros).constant
+    for f in _reference_fields(level) + [signed]:
+        g, vals = build_reeb(f), f.values
+        rank = _ranks(vals)
+        columns = (g.lower, g.upper, g.node_of_vertex, g.edge_of_vertex)
+        want = _two_sort_deposit(f.mesh, vals, rank, g.node_value, *columns)
+        got = _deposit_mass(f.mesh, vals, rank, _vertex_order(vals)[1], g.node_vertex, *columns)
+        assert len(got) == len(want) == 5
+        for w, o in zip(want, got):
+            assert o.dtype == w.dtype and o.tobytes() == w.tobytes()
+
+
+def test_keys_too_wide_to_pack_sort_alike(monkeypatch):
+    """With no bits to pack key and entry index into, the deposit argsorts the keys: same bytes."""
+    for f in _reference_fields(3) + _zero_fields(3)[1:]:
+        g, vals = build_reeb(f), f.values
+        args = (f.mesh, vals, _ranks(vals), _vertex_order(vals)[1], g.node_vertex,
+                g.lower, g.upper, g.node_of_vertex, g.edge_of_vertex)
+        packed = _deposit_mass(*args)
+        monkeypatch.setattr(reeb, "_KEY_BITS", 0)
+        unpacked = _deposit_mass(*args)
+        monkeypatch.undo()
+        assert [a.tobytes() for a in unpacked] == [a.tobytes() for a in packed]
+
+
+def test_vertex_order_is_the_stable_order():
+    """(value, index) order on ties, +-0.0 plateaus, a constant run and noise; the class is a run's first rank."""
+    mesh = build_sphere(5)
+    rng = np.random.default_rng(9)
+    noise = rng.normal(size=mesh.n_points)
+    signs = rng.random(mesh.n_points) < 0.5
+    fields = [np.round(3.0 * noise), np.where(signs, 0.0, -0.0), np.where(signs, -0.0, np.round(noise)),
+              np.full(mesh.n_points, 1.5), noise, np.where(noise > 0.0, noise, 0.25)]
+    for vals in fields:
+        stable = np.argsort(vals, kind="stable")
+        order, value_class = _vertex_order(vals)
+        assert np.array_equal(order, stable)
+        sv = vals[stable]
+        assert np.array_equal(value_class, np.searchsorted(sv, sv))
+
+
+def _edge_values(f, g):
+    """Per edge, the values its knots come from, in the deposit's order: its two node
+    values, the low ends of the bands anchored on it, their high ends, its atoms."""
+    mesh, vals = f.mesh, f.values
+    lo, hi, bary, mid = _triangle_stats(mesh.triangles, vals, _ranks(vals))[:4]
+    anchor = g.edge_of_vertex[mid]
+    for t in np.nonzero(anchor < 0)[0]:
+        nid = g.node_of_vertex[mid[t]]
+        ups, downs = np.nonzero(g.lower == nid)[0], np.nonzero(g.upper == nid)[0]
+        anchor[t] = (ups if (bary[t] >= g.node_value[nid] and ups.size) or not downs.size else downs).min()
+    lo_a, hi_a = g.node_value[g.lower[anchor]], g.node_value[g.upper[anchor]]
+    l_in, h_in = np.clip(lo, lo_a, hi_a), np.clip(hi, lo_a, hi_a)
+    band, atom = (h_in > l_in) & (hi > lo), hi == lo
+    return [np.concatenate([g.node_value[[g.lower[e], g.upper[e]]], l_in[band & (anchor == e)],
+                            h_in[band & (anchor == e)], l_in[atom & (anchor == e)]])
+            for e in range(g.n_edges)]
+
+
+def test_a_zero_knot_keeps_the_sign_np_unique_picks():
+    """On the level-3 round(3x + 2y), every edge that meets zero with both signs has the
+    zero knot that np.unique of the edge's values gives, and there are such edges."""
+    mesh = build_sphere(3)
+    x, y, _ = mesh.points.T
+    f = ScalarField(mesh, np.round(3 * x + 2 * y))
+    g = build_reeb(f)
+    mixed = 0
+    for e, values in enumerate(_edge_values(f, g)):
+        knots = g.knots[g.start[e]:g.start[e + 1]]
+        assert np.array_equal(knots, np.unique(values))
+        signs = np.signbit(values[values == 0])
+        if signs.any() and not signs.all():
+            mixed += 1
+            unique = np.unique(values)
+            assert knots[knots == 0].tobytes() == unique[unique == 0].tobytes()
+    assert mixed > 0
