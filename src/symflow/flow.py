@@ -574,15 +574,14 @@ def reference_flow(
     a copy of the probes and its endpoints.  One :func:`_rk4` loop runs the first two
     levels, the next as many more as the h^4 law (Hairer, Norsett & Wanner, *Solving
     ODEs I*, II.4) predicts from the last gap, and so on; scanned in order, an overshoot
-    costs time, not identity.  Until a doubling shrinks the gap at least 8x, a
-    prediction of three levels or more is not trusted: the next batch is one level.
-    ``h`` gets ``s`` as an array of per-row times.
+    costs time, not identity.  ``h`` gets ``s`` as an array of per-row times.
 
     Raises
     ------
     NoConvergenceError
-        If the gap never reaches ``tol`` within the step budget, or if, once in the h^4
-        range, even 32x per doubling left could not bring it there: then at once.
+        If the gap never reaches ``tol`` within the step budget, or if, once the last two
+        doublings each shrank it 8x to 32x, even 32x per doubling left could not bring it
+        there: then at once.
     """
     ham = _coerce_hamiltonian(h)
     if probes is None:
@@ -600,11 +599,13 @@ def reference_flow(
             prev = cur
         more = max(1, math.ceil(math.log(gap / tol, 16))) if tol > 0.0 and math.isfinite(gap / tol) else 1
         reach = [n * 2**j for j in range(1, 64) if n * 2 ** (j - 1) < max_steps]
-        in_range = len(gaps) < 2 or gaps[-2] >= 8.0 * gap  # the h^4 range: 16x per doubling
-        if len(gaps) > 1 and in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
+        # The h^4 range, 16x per doubling, shows in two ratios in a row: one 21x drop can be
+        # followed by a 58x one on the way out of the pre-asymptotic range.
+        in_range = len(gaps) > 2 and all(8.0 * b <= a <= 32.0 * b for a, b in zip(gaps[-3:], gaps[-2:]))
+        if in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
             raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 law: "
                                      f"{n * 2**more}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
-        batch = reach[:more if in_range or more <= 2 else 1]
+        batch = reach[:more]
 
 
 def reference_endpoints(

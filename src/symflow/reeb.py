@@ -445,10 +445,6 @@ def build_reeb(f: ScalarField) -> ReebGraph:
 #: an edge's running density sum; a band too narrow for that counts as flat.
 _DENSITY_ROUNDING = 1e-12
 
-#: Bits of an int64 below its sign: where a knot key and its entry index fit
-#: in them together, the deposit sorts them packed, with one ``np.sort``.
-_KEY_BITS = 63
-
 
 def _segmented_cumsum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``np.cumsum`` of each run of ``lengths`` consecutive entries of ``x``.
@@ -541,9 +537,7 @@ def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
     key = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]]) * n
     key += value_class[np.concatenate([node_rank[e_lower], node_rank[e_upper], r_lo[seg], r_hi[seg], r_lo[pts]])]
     value = np.concatenate([node_vals[e_lower], node_vals[e_upper], l_in[seg], h_in[seg], l_in[pts]])
-    bits = key.size.bit_length()
-    fits = (n_edges * n).bit_length() + bits <= _KEY_BITS
-    srt = np.sort(key << bits | np.arange(key.size)) & ((1 << bits) - 1) if fits else np.argsort(key)
+    srt = np.argsort(key)
     s_key = key[srt]
     first = np.flatnonzero(np.concatenate(([True], s_key[1:] != s_key[:-1])))  # of each knot, in sort order
     knot_of = np.empty(srt.size, dtype=np.int64)

@@ -415,53 +415,52 @@ def _doubling_gaps(ham, t, probes, max_steps):
 
 
 def test_a_budget_the_h4_law_cannot_meet_raises_at_once(torus_pair, monkeypatch):
-    """Yoshida 4 at t = 0.35: by 512 steps the gap shrinks 8.4x per doubling but is 1.4e-2;
-    even 32x in the one doubling left would not reach 1e-4, so the 1024-step level is not run."""
+    """Yoshida 4 at t = 0.35: by 1024 steps the gap shrank 8.4x, then 19x, but is 7.3e-4; even
+    32x in the one doubling left would not reach 1e-6, so the 2048-step level is not run."""
     gen = CocycleGenerator(yoshida(4), *torus_pair)
     pts = default_probes("torus", 8, seed=23)
-    batches, err = _batches_of(monkeypatch, lambda: reference_flow(gen, 0.35, tol=1e-4, probes=pts, max_steps=1024))
-    assert batches == [[16, 32], [64, 128, 256, 512]]
-    gaps = _doubling_gaps(gen, 0.35, pts, 1024)
+    batches, err = _batches_of(monkeypatch, lambda: reference_flow(gen, 0.35, tol=1e-6, probes=pts, max_steps=2048))
+    assert batches == [[16, 32], [64, 128, 256, 512, 1024]]
+    gaps = _doubling_gaps(gen, 0.35, pts, 2048)
     assert isinstance(err, NoConvergenceError)
-    assert str(err) == ("reference flow cannot reach tol 1.0e-04 by 1024 steps (h^4 law: 2048): gaps "
-                        f"{', '.join(f'{g:.3e}' for g in gaps[:-1])} up to 512 steps")
-    assert gaps[-1] > 1e-4  # the level it skips would not have converged either
+    assert str(err) == ("reference flow cannot reach tol 1.0e-06 by 2048 steps (h^4 law: 8192): gaps "
+                        f"{', '.join(f'{g:.3e}' for g in gaps[:-1])} up to 1024 steps")
+    assert gaps[-1] > 1e-6  # the level it skips would not have converged either
 
 
-def _replay(monkeypatch, gaps, tol):
+def _replay(monkeypatch, gaps, tol, max_steps):
     """``reference_flow`` on a stand-in whose run with 16 * 2**k steps ends ``sum(gaps[:k])`` from the
     16-step run: the batches it plans, and its result or error."""
     ends = dict(zip([16 * 2**k for k in range(len(gaps) + 1)], np.cumsum([0.0] + gaps).tolist()))
     stand_in = types.SimpleNamespace(mesh_kind="sphere", velocity=None)
     monkeypatch.setattr(flow, "_rk4", lambda ham, p, t, ns: np.array([[[ends[n], 0.0, 0.0]] for n in ns]))
-    return _batches_of(monkeypatch, lambda: reference_flow(stand_in, 0.45, tol=tol, probes=np.zeros((1, 3))))
+    return _batches_of(monkeypatch, lambda: reference_flow(stand_in, 0.45, tol, np.zeros((1, 3)), max_steps))
 
 
-def test_the_stuck_yoshida_calibration_stops_once_in_the_h4_range(monkeypatch):
-    """The gaps of Yoshida 4 at t = 0.45 on the torus pair (24 probes of seed 5, tol 1e-8): about
-    0.5 up to 4096 steps, so the law's prediction of 7 more levels is not trusted; 2.8e-2 at 8192,
-    17x down, where even 32x per doubling left cannot reach 1e-8 by 131072 steps.  12,320 RK4 loop
-    iterations instead of the 135,200 that running the predicted batch to the cap takes."""
-    gaps = [0.6147, 0.5332, 0.6421, 0.67, 0.5363, 0.5985, 0.6201, 0.4736, 2.762e-2, 1.16e-3, 6.25e-5, 3.9e-6, 2.2e-7]
-    batches, err = _replay(monkeypatch, gaps, 1e-8)
-    assert batches == [[16, 32], [64, 128, 256, 512, 1024, 2048, 4096], [8192]]
-    assert sum(b[-1] for b in batches) == 12320
-    assert isinstance(err, NoConvergenceError)
-    assert str(err).startswith("reference flow cannot reach tol 1.0e-08 by 131072 steps (h^4 law: 524288): "
-                               "gaps 6.147e-01, 5.332e-01, ")
-    assert str(err).endswith(", 4.736e-01, 2.762e-02 up to 8192 steps")
+#: Replayed gaps of Yoshida 4 at t = 0.4 on the torus pair (8 probes of seed 23): flat near 0.5, then
+#: 21x and 58x down.
+_T04_GAPS = [0.535, 0.202, 0.481, 0.5, 0.328, 1.52e-2, 2.6e-4, 8.5e-6]
 
 
-def test_gaps_outside_the_h4_range_plan_one_level(monkeypatch):
-    """Gaps that shrink less than 8x per doubling: a prediction of three levels or more runs one
-    level, a prediction of two runs both; the result is the first level within ``tol``."""
-    gaps = [0.535, 0.202, 0.481, 0.5, 0.328, 1.52e-2, 2.6e-4, 8.5e-6]
-    batches, ref = _replay(monkeypatch, gaps, 1e-3)
-    assert batches == [[16, 32], [64, 128, 256], [512], [1024], [2048]]
-    assert ref.nsteps == 2048
-    batches, ref = _replay(monkeypatch, gaps, 2e-2)
-    assert batches == [[16, 32], [64, 128], [256, 512], [1024, 2048]]
-    assert ref.nsteps == 1024
+@pytest.mark.parametrize(
+    "gaps,tol,max_steps,batches",
+    [
+        (_T04_GAPS, 3e-4, 2048, [[16, 32], [64, 128, 256], [512, 1024, 2048]]),
+        (_T04_GAPS, 1e-5, 4096, [[16, 32], [64, 128, 256, 512], [1024, 2048, 4096]]),
+        # At 256 steps one 10x drop: 32x in the one doubling left could not reach tol, 44x does.
+        ([0.5, 0.45, 0.4, 0.04, 9e-4], 1e-3, 512, [[16, 32], [64, 128, 256], [512]]),
+        # At 512 steps 10x, then 40x: again 32x could not reach tol, 50x does.
+        ([0.5, 0.45, 0.4, 0.04, 1e-3, 2e-5], 3e-5, 1024, [[16, 32], [64, 128, 256, 512], [1024]]),
+    ],
+    ids=["t04-2048", "t04-4096", "10x", "10x-40x"],
+)
+def test_drops_outside_the_h4_range_do_not_stop_a_calibration(monkeypatch, gaps, tol, max_steps, batches):
+    """A doubling that shrinks the gap 8x or more can come before a larger drop, and so can one that
+    shrinks it more than 32x: these calibrations converge on their last level and keep the batches
+    the h^4 law plans."""
+    got, ref = _replay(monkeypatch, gaps, tol, max_steps)
+    assert got == batches
+    assert (ref.nsteps, ref.error_estimate) == (max_steps, pytest.approx(gaps[int(math.log2(max_steps // 32))]))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from symflow import reeb
 from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uniform_norm
 from symflow.reeb import (
     _DENSITY_ROUNDING,
@@ -874,19 +873,6 @@ def test_one_key_deposit_matches_the_two_sort_deposit(level):
         assert len(got) == len(want) == 5
         for w, o in zip(want, got):
             assert o.dtype == w.dtype and o.tobytes() == w.tobytes()
-
-
-def test_keys_too_wide_to_pack_sort_alike(monkeypatch):
-    """With no bits to pack key and entry index into, the deposit argsorts the keys: same bytes."""
-    for f in _reference_fields(3) + _zero_fields(3)[1:]:
-        g, vals = build_reeb(f), f.values
-        args = (f.mesh, vals, _ranks(vals), _vertex_order(vals)[1], g.node_vertex,
-                g.lower, g.upper, g.node_of_vertex, g.edge_of_vertex)
-        packed = _deposit_mass(*args)
-        monkeypatch.setattr(reeb, "_KEY_BITS", 0)
-        unpacked = _deposit_mass(*args)
-        monkeypatch.undo()
-        assert [a.tobytes() for a in unpacked] == [a.tobytes() for a in packed]
 
 
 def test_vertex_order_is_the_stable_order():
