@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, MeshMismatchError, NonFiniteError, OutOfRangeError, SymbolicRequiredError
-from .expr import _OPS, Expression, Var, _post_order
+from .expr import _OPS, Expression, Var
 from .manifold import NORMS, ScalarField, SphereTri, TorusGrid
 
 __all__ = [
@@ -126,7 +126,8 @@ def poisson(a: ScalarField, h: ScalarField) -> ScalarField:
 # A jet of order k in d variables is an array of shape (comb(k + d, d), n)
 # holding, at each of n points, the Taylor coefficients d^alpha F / alpha! of
 # a field for |alpha| <= k.  Rows follow the graded order of _multi_indices,
-# so the order-j truncation of a jet is its first comb(j + d, d) rows.
+# so the order-j truncation of a jet is its first comb(j + d, d) rows.  One cached
+# _index_table per (d, k) serves every jet operation; its row 1 + i is e_i.
 
 
 @functools.cache
@@ -141,52 +142,30 @@ def _jet_size(dim: int, order: int) -> int:
 
 
 @functools.cache
-def _shift_table(dim: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per variable i: the row of ``beta + e_i`` and the factor ``beta_i + 1``
-    for every ``|beta| <= order - 1``."""
-    index = {a: row for row, a in enumerate(_multi_indices(dim, order))}
-    lower = _multi_indices(dim, order - 1)
-    table = []
-    for i in range(dim):
-        bumped = [b[:i] + (b[i] + 1,) + b[i + 1:] for b in lower]
-        rows = np.array([index[b] for b in bumped], dtype=np.intp)
-        factors = np.array([b[i] + 1.0 for b in lower])[:, None]
-        table.append((rows, factors))
-    return tuple(table)
-
-
-@functools.cache
-def _product_table(dim: int, order: int) -> tuple[np.ndarray, ...]:
-    """Per row alpha: the rows of ``alpha + beta`` for every ``|beta| <= order - |alpha|``."""
-    index = {a: row for row, a in enumerate(_multi_indices(dim, order))}
-    return tuple(
-        np.array(
-            [index[tuple(x + y for x, y in zip(a, b))] for b in _multi_indices(dim, order - sum(a))],
-            dtype=np.intp,
-        )
-        for a in _multi_indices(dim, order)
-    )
+def _index_table(dim: int, order: int) -> tuple:
+    """The row of each multi-index; per ``(alpha, beta)`` with ``|beta| <= order - |alpha|`` the
+    row of ``alpha + beta`` and ``binom(alpha + beta, alpha)`` (one past the last row and 0
+    elsewhere), and per row alpha those rows alone; per ``beta`` the row of ``beta - e_i`` and
+    ``i``, for the first ``i`` with ``beta_i > 0``."""
+    alphas = _multi_indices(dim, order)
+    rows = {a: r for r, a in enumerate(alphas)}
+    sums, binom = np.full((len(alphas),) * 2, len(alphas)), np.zeros((len(alphas),) * 2)
+    for r, a in enumerate(alphas):
+        betas = alphas[: _jet_size(dim, order - sum(a))]  # graded order: exactly |beta| <= order - |alpha|
+        sums[r, : len(betas)] = [rows[tuple(map(operator.add, a, b))] for b in betas]
+        binom[r, : len(betas)] = [math.prod(map(math.comb, map(operator.add, a, b), a)) for b in betas]
+    targets = tuple(row[row < len(alphas)] for row in sums)
+    var = [next((i for i, x in enumerate(b) if x), 0) for b in alphas]
+    parent = [rows[b[:i] + (max(b[i] - 1, 0),) + b[i + 1:]] for b, i in zip(alphas, var)]
+    return rows, sums, binom, np.array(parent), np.array(var), targets
 
 
 def _jet_product(a: list, b: list, dim: int, order: int) -> np.ndarray:
     """Truncated ``sum_k a[k] * b[k]`` of two lists of jets of at least ``order``."""
+    *_, targets = _index_table(dim, order)
     out = np.zeros((_jet_size(dim, order), a[0].shape[1]))
-    for row, targets in enumerate(_product_table(dim, order)):
-        out[targets] += functools.reduce(operator.add, (x[row] * y[: len(targets)] for x, y in zip(a, b)))
-    return out
-
-
-def _jet_partial(jet: np.ndarray, i: int, dim: int, order: int) -> np.ndarray:
-    """Partial derivative in variable ``i`` of a jet of ``order``; one order lower."""
-    rows, factors = _shift_table(dim, order)[i]
-    return factors * jet[rows]
-
-
-def _jet_times_coordinate(jet: np.ndarray, i: int, base: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Truncated product of a jet with the coordinate ``x_i = base + delta_i``."""
-    rows, _ = _shift_table(dim, order)[i]
-    out = base * jet[: _jet_size(dim, order)]
-    out[rows] += jet[: len(rows)]
+    for row, to in enumerate(targets):
+        out[to] += functools.reduce(operator.add, (x[row] * y[: len(to)] for x, y in zip(a, b)))
     return out
 
 
@@ -201,29 +180,11 @@ def _jet_times_coordinate(jet: np.ndarray, i: int, base: np.ndarray, dim: int, o
 _EXACT_TERMS = 512  # a polynomial stays exact while the monomials up to its degree number at most this
 
 
-@functools.cache
-def _taylor_shift(dim: int, degree: int) -> tuple:
-    """Tables for polynomials of ``degree``: the row of each monomial; per ``(alpha, beta)`` with
-    ``|beta| <= degree - |alpha|`` the row of ``alpha + beta`` and ``binom(alpha + beta, alpha)``
-    (one past the last row and 0 elsewhere); per ``beta`` the row of ``beta - e_i`` and ``i``, for
-    the first ``i`` with ``beta_i > 0``."""
-    alphas = _multi_indices(dim, degree)
-    rows = {a: r for r, a in enumerate(alphas)}
-    sums, binom = np.full((len(alphas),) * 2, len(alphas)), np.zeros((len(alphas),) * 2)
-    for r, a in enumerate(alphas):
-        betas = alphas[: _jet_size(dim, degree - sum(a))]  # graded order: exactly |beta| <= degree - |alpha|
-        sums[r, : len(betas)] = [rows[tuple(map(operator.add, a, b))] for b in betas]
-        binom[r, : len(betas)] = [math.prod(map(math.comb, map(operator.add, a, b), a)) for b in betas]
-    var = [next((i for i, x in enumerate(b) if x), 0) for b in alphas]
-    parent = [rows[b[:i] + (max(b[i] - 1, 0),) + b[i + 1:]] for b, i in zip(alphas, var)]
-    return rows, sums, binom, np.array(parent), np.array(var)
-
-
 def _poly_jet(poly: dict, points: np.ndarray, order: int) -> np.ndarray:
     """Jet of an exact polynomial: row alpha is ``sum_m c_m binom(m, alpha) x^(m - alpha)``, one
     matrix product per degree of alpha, so that a lower order is bitwise a truncation."""
     dim, degree = points.shape[1], max(map(sum, poly))
-    rows, sums, binom, parent, var = _taylor_shift(dim, degree)
+    rows, sums, binom, parent, var, _ = _index_table(dim, degree)
     coef = np.zeros(len(rows) + 1)
     coef[[rows[m] for m in poly]] = list(poly.values())
     powers, cols = np.ones((len(rows), len(points))), np.ascontiguousarray(points.T)
@@ -301,7 +262,7 @@ def _field_jet(expr: Expression, mesh, order: int) -> np.ndarray:
     units = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(names)}
     done: dict[int, object] = {}
     with np.errstate(all="ignore"):
-        for node in _post_order([expr.root]):
+        for node in expr._nodes:
             op, args, k = node
             args = [done[id(a)] for a in args]
             scalars = [a.get(zero) if isinstance(a, dict) and len(a) == 1 else None for a in args]
@@ -420,7 +381,9 @@ class BracketTable:
             self._gradients: dict[tuple, list[np.ndarray]] = {(): grads[id(root)]}
 
     def _gradient(self, jet: np.ndarray, order: int) -> list[np.ndarray]:
-        return [_jet_partial(jet, i, self._dim, order) for i in range(self._dim)]
+        """Partials of a jet of ``order``, one order lower: row beta is (beta_i + 1) times row beta + e_i."""
+        _, _, binom, *_, targets = _index_table(self._dim, order)
+        return [binom[1 + i, : len(targets[1 + i]), None] * jet[targets[1 + i]] for i in range(self._dim)]
 
     def _hamiltonian_vector(self, grad: list[np.ndarray]) -> list[np.ndarray]:
         """``Pi grad H`` with ``{A, H} = grad A . Pi grad H``, as jets of order depth - 1."""
@@ -428,9 +391,14 @@ class BracketTable:
             return [grad[1], -grad[0]]
         order = self.depth - 1
         cols = self.mesh.points.T.copy()  # contiguous coordinate columns
+        *_, targets = _index_table(3, order)
 
         def times_x(j: int, i: int) -> np.ndarray:
-            return _jet_times_coordinate(grad[j], i, cols[i], 3, order)
+            """Truncated product of ``grad[j]`` with the coordinate ``x_i = cols[i] + delta_i``."""
+            out = cols[i] * grad[j]
+            if order:  # an order-0 table has no row e_i
+                out[targets[1 + i]] += grad[j][: len(targets[1 + i])]
+            return out
 
         # 4*pi * x . (grad A x grad H) = grad A . (4*pi * grad H x x)
         return [

@@ -7,9 +7,10 @@ via ``^``, the functions ``sin``, ``cos``, ``exp``, and the keyword
 ``pi``.  An expression is a DAG of one immutable node type,
 ``Node(op, args, value)``, and each operator has one row in ``_OPS``: its
 numpy function, the error state it runs under, its Python source and its
-printed form.  Differentiation is symbolic and returns a new DAG with
-constants folded; a compiled evaluator is straight-line code with one
-local per distinct node, so a shared subexpression is computed once.
+printed form.  Every DAG walk (differentiation, evaluation, printing,
+compilation, jets) loops over one ``_post_order`` list, each distinct node
+once and after its arguments, so none meets the recursion limit; a compiled
+evaluator is straight-line code with one local per distinct node.
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, binary ``+ -``.
 Binary operators associate to the left, so ``a-b-c`` is ``(a-b)-c`` and
@@ -22,6 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -189,39 +191,37 @@ def _neg(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _diff(node: Node, var: str, memo: dict) -> Node:
-    op, args, value = node
-    if op == "const":
-        return _ZERO
-    if op == "var":
-        return _ONE if value == var else _ZERO
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    u = args[0]
-    du = _diff(u, var, memo)
-    if op == "add":
-        result = _add(du, _diff(args[1], var, memo))
-    elif op == "sub":
-        result = _sub(du, _diff(args[1], var, memo))
-    elif op == "mul":
-        v = args[1]
-        result = _add(_mul(du, v), _mul(u, _diff(v, var, memo)))
-    elif op == "div":
-        v = args[1]
-        result = _div(_sub(_mul(du, v), _mul(u, _diff(v, var, memo))), _pow(v, 2))
-    elif op == "pow":
-        result = _mul(_mul(Const(float(value)), _pow(u, value - 1)), du)
-    elif op == "neg":
-        result = _neg(du)
-    elif op == "sin":
-        result = _mul(Node("cos", args), du)
-    elif op == "cos":
-        result = _mul(_neg(Node("sin", args)), du)
-    else:  # exp
-        result = _mul(node, du)
-    memo[key] = result
+def _diff(nodes: list[Node], var: str) -> Node:
+    """Symbolic partial in ``var`` of the root ending the ``_post_order`` list ``nodes``, constants folded."""
+    done: dict[int, Node] = {}
+    for node in nodes:
+        op, args, value = node
+        if op == "const":
+            result = _ZERO
+        elif op == "var":
+            result = _ONE if value == var else _ZERO
+        else:
+            u, v = args[0], args[-1]  # v is u for a unary op
+            du, dv = done[id(u)], done[id(v)]
+            if op == "add":
+                result = _add(du, dv)
+            elif op == "sub":
+                result = _sub(du, dv)
+            elif op == "mul":
+                result = _add(_mul(du, v), _mul(u, dv))
+            elif op == "div":
+                result = _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, 2))
+            elif op == "pow":
+                result = _mul(_mul(Const(float(value)), _pow(u, value - 1)), du)
+            elif op == "neg":
+                result = _neg(du)
+            elif op == "sin":
+                result = _mul(Node("cos", args), du)
+            elif op == "cos":
+                result = _mul(_neg(Node("sin", args)), du)
+            else:  # exp
+                result = _mul(node, du)
+        done[id(node)] = result
     return result
 
 
@@ -232,28 +232,28 @@ def _diff(node: Node, var: str, memo: dict) -> Node:
 ArrayLike = Union[float, np.ndarray]
 
 
-def _eval(node: Node, env: Mapping[str, ArrayLike], memo: dict) -> ArrayLike:
-    op, args, value = node
-    if op == "const":
-        return value
-    if op == "var":
-        return env[value]
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    row = _OPS[op]
-    vals = []
-    for arg in args:  # a loop, not a comprehension: one frame per level of nesting
-        vals.append(_eval(arg, env, memo))
-    if value is not None:
-        vals.append(value)
-    if row.errstate is None:
-        result = row.fn(*vals)
-    else:
-        with np.errstate(**row.errstate):
-            result = row.fn(*vals)
-    memo[key] = result
+def _eval(nodes: list[Node], env: Mapping[str, ArrayLike]) -> ArrayLike:
+    """Value of the root that ends the ``_post_order`` list ``nodes``; each node's once."""
+    done: dict[int, ArrayLike] = {}
+    for node in nodes:
+        op, args, value = node
+        if op == "const":
+            result = value
+        elif op == "var":
+            result = env[value]
+        else:
+            row = _OPS[op]
+            vals = []
+            for arg in args:  # a loop: a comprehension would cost a call per node
+                vals.append(done[id(arg)])
+            if value is not None:
+                vals.append(value)
+            if row.errstate is None:
+                result = row.fn(*vals)
+            else:
+                with np.errstate(**row.errstate):
+                    result = row.fn(*vals)
+        done[id(node)] = result
     return result
 
 
@@ -299,10 +299,10 @@ def compile_evaluator(*exprs: "Expression"):
 # ---------------------------------------------------------------------------
 
 
-def _print(root: Node) -> str:
-    """Render a node; each distinct node's (text, precedence) is built once, after its arguments'."""
+def _print(nodes: list[Node]) -> str:
+    """Render the root ending the ``_post_order`` list ``nodes``, each node's (text, precedence) once."""
     done: dict[int, tuple[str, int]] = {}
-    for node in _post_order([root]):
+    for node in nodes:
         op, args, value = node
         if op == "const":
             if value < 0 or (value == 0 and math.copysign(1, value) < 0):
@@ -317,7 +317,7 @@ def _print(root: Node) -> str:
             texts = [text if prec >= least else f"({text})" for (text, prec), least in zip(parts, row.prec[1:])]
             k = f"({value})" if op == "pow" and value < 0 else value
             done[id(node)] = row.text.format(*texts, k=k), row.prec[0]
-    return done[id(root)][0]
+    return done[id(node)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,10 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset)
 
     def parse(self) -> Node:
-        node = self.sum()
+        try:
+            node = self.sum()
+        except RecursionError:  # the descent takes a few frames per parenthesis or unary minus
+            raise ExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {text!r}", offset)
@@ -473,7 +476,7 @@ class Expression:
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise KeyError(f"missing values for {missing}")
-        result = _eval(self.root, values, {})
+        result = _eval(self._nodes, values)
         arr = np.asarray(result, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"expression produced a non-finite value: {self}")
@@ -485,7 +488,7 @@ class Expression:
         """Evaluate at an (n, d) array whose columns follow ``self.variables``."""
         points = np.asarray(points, dtype=float)
         env = {name: points[..., k] for k, name in enumerate(self.variables)}
-        result = _eval(self.root, env, {})
+        result = _eval(self._nodes, env)
         out = np.broadcast_to(np.asarray(result, dtype=float), points.shape[:-1]).copy()
         if not np.all(np.isfinite(out)):
             raise NonFiniteError(f"expression produced a non-finite value: {self}")
@@ -495,10 +498,15 @@ class Expression:
         """Symbolic partial derivative with respect to ``var``, constants folded."""
         if var not in self.variables:
             raise KeyError(f"{var!r} is not a variable of this expression")
-        return Expression(_diff(self.root, var, {}), self.variables)
+        return Expression(_diff(self._nodes, var), self.variables)
 
     def __str__(self) -> str:
-        return _print(self.root)
+        return _print(self._nodes)
+
+    @cached_property
+    def _nodes(self) -> list[Node]:
+        """The distinct nodes, each after its arguments: one walk, shared by every pass over the DAG."""
+        return _post_order([self.root])
 
     # Arithmetic helpers used when combining fields; results stay immutable.
     def _wrap_node(self, node: Node) -> "Expression":
@@ -539,7 +547,8 @@ def parse(source: str, variables: tuple[str, ...] | list[str]) -> Expression:
     Raises
     ------
     ExprSyntaxError
-        On malformed input, with the byte offset of the problem.
+        On malformed input, or nesting deeper than the recursion limit allows,
+        with the byte offset of the problem.
     UnknownIdentifierError
         For identifiers that are neither keywords nor declared variables.
     """

@@ -302,8 +302,8 @@ class StaticHamiltonian:
 
     Values and the vector field are compiled from the field's expression; a field without
     one is interpolated on its mesh.  ``flow(tau)`` is the exact flow for time ``tau``; the
-    field is recognised (:func:`recognize_flow`) at the first call, which raises
-    ``NotRecognizedError`` for a field outside the recognised families.
+    field is recognised (:func:`recognize_flow`, once per expression) at the first call,
+    which raises ``NotRecognizedError`` for a field outside the recognised families.
     """
 
     def __init__(self, field: ScalarField):
@@ -317,7 +317,7 @@ class StaticHamiltonian:
         return self._velocity(pts)
 
     def flow(self, tau):
-        return self._flow_factory(tau)
+        return recognize_flow(self.field)[1](tau)
 
     @cached_property
     def _value(self):
@@ -357,10 +357,6 @@ class StaticHamiltonian:
             return FOUR_PI * np.stack([dy * z - dz * y, dz * x - dx * z, dx * y - dy * x], axis=1)
 
         return sphere_velocity
-
-    @cached_property
-    def _flow_factory(self):
-        return recognize_flow(self.field)[1]
 
 
 class LinearPathHamiltonian:

@@ -386,7 +386,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     """Build the level-set tree of ``f`` with the area measure on it.
 
     Vertices are ordered by (value, index), so exact ties are resolved
-    deterministically.  A constant field has no level-set structure at all;
+    deterministically.  A value of -0.0 counts as +0.0, so no knot, node
+    value or median is -0.0.  A constant field has no level-set structure at all;
     it collapses to a single node carrying the full mass, and the result is
     flagged ``constant``.
     """
@@ -395,7 +396,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         raise NotASphereMeshError(
             f"level-set trees require a sphere mesh, got {type(mesh).__name__}"
         )
-    vals = np.asarray(f.values, dtype=float)
+    vals = np.asarray(f.values, dtype=float) + 0.0  # -0.0 becomes +0.0: one sign of zero, every other bit kept
     if not np.all(np.isfinite(vals)):
         raise ValueError("field values must be finite")
     n = mesh.n_points
@@ -544,12 +545,6 @@ def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
     knot_of[srt] = np.repeat(np.arange(first.size), np.diff(first, append=srt.size))
     knots = value[srt[first]]
     bounds = np.searchsorted(s_key[first], np.arange(n_edges + 1) * n)
-    # -0.0 == 0.0: where an edge meets zero with both signs, its knot keeps
-    # the sign np.unique picks from the edge's values (its sort is unstable).
-    zero, neg = value == 0, np.signbit(value)
-    for k in np.intersect1d(knot_of[zero & neg], knot_of[zero & ~neg]).tolist():
-        edge_vals = np.unique(value[key // n == s_key[first[k]] // n])
-        knots[k] = edge_vals[np.searchsorted(edge_vals, 0.0)]
     count = np.diff(bounds)
     k_lo, k_hi, k_pt = np.split(knot_of[2 * n_edges:], [seg.size, 2 * seg.size])
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from symflow.cli import (
     l1_sweep,
     run,
 )
+from symflow.expr import compile_evaluator, parse
 from symflow.manifold import build_sphere, sample
 from symflow.reeb import InvariantViolationError, tau
 
@@ -127,6 +129,29 @@ def test_malformed_expression_exits_one(tmp_path, capsys):
     spec = write_spec(tmp_path, f="x +* y", level=3)
     assert run(["qstate", "--spec", spec]) == 1
     assert "offset" in capsys.readouterr().err
+
+
+def test_nesting_too_deep_to_parse_exits_one_with_one_error_line(tmp_path, capsys):
+    spec = write_spec(tmp_path, f="(" * 200 + "z" + ")" * 200, level=3)
+    assert run(["qstate", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: expression nested too deeply \(offset \d+\)\n", err)
+
+
+def test_a_1200_term_sum_samples_differentiates_and_runs(tmp_path, capsys):
+    """Every walk of the expression DAG is a loop, so a long sum meets no recursion limit."""
+    source = " + ".join(["x", "x*y", "0.5*y*z", "z^2"] * 300)
+    mesh = build_sphere(3)
+    f = sample(mesh, source)
+    x, y, z = mesh.points.T
+    np.testing.assert_allclose(f.values, 300 * (x + x * y + 0.5 * y * z + z**2), rtol=1e-12)
+    dx = f.expr.diff("x")
+    np.testing.assert_allclose(dx.eval_at(mesh.points), 300 * (1 + y), rtol=1e-12)
+    assert str(parse(str(f.expr), ("x", "y", "z"))) == str(f.expr)
+    assert compile_evaluator(f.expr, dx)(x, y, z)[1].tobytes() == dx.eval_at(mesh.points).tobytes()
+    for command in ("qn", "bracket"):
+        assert run([command, "--spec", write_spec(tmp_path, f=source, g="x - z", level=3, n_max=3)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):

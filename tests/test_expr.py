@@ -69,6 +69,12 @@ def test_syntax_error_offsets():
         parse("x^2.5", VARS)
     with pytest.raises(ExprSyntaxError):
         parse("(1+x", VARS)
+    for deep in ("(" * 200 + "x" + ")" * 200, "-" * 1200 + "x"):  # nested past the recursion limit
+        with pytest.raises(ExprSyntaxError, match=r"^expression nested too deeply \(offset \d+\)$") as err:
+            parse(deep, VARS)
+        assert 0 < err.value.offset < len(deep)
+    for shallow in ("(" * 100 + "x" + ")" * 100, "-" * 500 + "x"):
+        assert parse(shallow, VARS).evaluate({"x": 0.5, "y": 0, "z": 0}) == 0.5
 
 
 def test_unknown_identifier():

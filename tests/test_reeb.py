@@ -710,7 +710,7 @@ def test_link_runs_find_the_reference_nodes(level):
 @pytest.mark.parametrize("level", [3, 4])
 def test_array_pipeline_matches_the_per_vertex_reference(level):
     for f in _reference_fields(level):
-        g, ref = build_reeb(f), _reference_tree(f)
+        g, ref = build_reeb(f), _reference_tree(ScalarField(f.mesh, f.values + 0.0))
         np.testing.assert_array_equal(g.node_vertex, ref["node_vertex"])
         np.testing.assert_array_equal(g.node_of_vertex, ref["node_of_vertex"])
         np.testing.assert_array_equal(g.edge_of_vertex, ref["edge_of_vertex"])
@@ -865,7 +865,7 @@ def test_one_key_deposit_matches_the_two_sort_deposit(level):
     zeros, signed = _zero_fields(level)
     assert build_reeb(zeros).constant
     for f in _reference_fields(level) + [signed]:
-        g, vals = build_reeb(f), f.values
+        g, vals = build_reeb(f), f.values + 0.0
         rank = _ranks(vals)
         columns = (g.lower, g.upper, g.node_of_vertex, g.edge_of_vertex)
         want = _two_sort_deposit(f.mesh, vals, rank, g.node_value, *columns)
@@ -891,38 +891,22 @@ def test_vertex_order_is_the_stable_order():
         assert np.array_equal(value_class, np.searchsorted(sv, sv))
 
 
-def _edge_values(f, g):
-    """Per edge, the values its knots come from, in the deposit's order: its two node
-    values, the low ends of the bands anchored on it, their high ends, its atoms."""
-    mesh, vals = f.mesh, f.values
-    lo, hi, bary, mid = _triangle_stats(mesh.triangles, vals, _ranks(vals))[:4]
-    anchor = g.edge_of_vertex[mid]
-    for t in np.nonzero(anchor < 0)[0]:
-        nid = g.node_of_vertex[mid[t]]
-        ups, downs = np.nonzero(g.lower == nid)[0], np.nonzero(g.upper == nid)[0]
-        anchor[t] = (ups if (bary[t] >= g.node_value[nid] and ups.size) or not downs.size else downs).min()
-    lo_a, hi_a = g.node_value[g.lower[anchor]], g.node_value[g.upper[anchor]]
-    l_in, h_in = np.clip(lo, lo_a, hi_a), np.clip(hi, lo_a, hi_a)
-    band, atom = (h_in > l_in) & (hi > lo), hi == lo
-    return [np.concatenate([g.node_value[[g.lower[e], g.upper[e]]], l_in[band & (anchor == e)],
-                            h_in[band & (anchor == e)], l_in[atom & (anchor == e)]])
-            for e in range(g.n_edges)]
-
-
-def test_a_zero_knot_keeps_the_sign_np_unique_picks():
-    """On the level-3 round(3x + 2y), every edge that meets zero with both signs has the
-    zero knot that np.unique of the edge's values gives, and there are such edges."""
+def test_a_zero_of_either_sign_builds_one_tree():
+    """On fields with zeros of both signs, flipping the sign of every zero leaves every array,
+    the JSON and the median byte-identical, and no knot, node value or median value is -0.0."""
     mesh = build_sphere(3)
     x, y, _ = mesh.points.T
-    f = ScalarField(mesh, np.round(3 * x + 2 * y))
-    g = build_reeb(f)
-    mixed = 0
-    for e, values in enumerate(_edge_values(f, g)):
-        knots = g.knots[g.start[e]:g.start[e + 1]]
-        assert np.array_equal(knots, np.unique(values))
-        signs = np.signbit(values[values == 0])
-        if signs.any() and not signs.all():
-            mixed += 1
-            unique = np.unique(values)
-            assert knots[knots == 0].tobytes() == unique[unique == 0].tobytes()
-    assert mixed > 0
+    fields = [np.round(3 * x + 2 * y)] + [f.values for f in _reference_fields(3)[3:6]] + [_zero_fields(3)[1].values]
+    for vals in fields:
+        assert np.signbit(vals[vals == 0]).any()
+        g, h = (build_reeb(ScalarField(mesh, v)) for v in (vals, np.where(vals == 0, -vals, vals)))
+        arrays = [name for name, a in vars(g).items() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 11
+        for name in arrays:
+            a, b = getattr(g, name), getattr(h, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert g.to_json() == h.to_json()
+        m = median(g)
+        assert repr(m) == repr(median(h))
+        out = np.concatenate([g.knots, g.node_value, [m.value]])
+        assert (out == 0).any() and not np.signbit(out[out == 0]).any()
