@@ -6,11 +6,12 @@ The language supports constants, variables, ``+ - * /``, integer powers
 via ``^``, the functions ``sin``, ``cos``, ``exp``, and the keyword
 ``pi``.  An expression is a DAG of one immutable node type,
 ``Node(op, args, value)``, and each operator has one row in ``_OPS``: its
-numpy function, the error state it runs under, its Python source and its
-printed form.  Every DAG walk (differentiation, evaluation, printing,
-compilation, jets) loops over one ``_post_order`` list, each distinct node
-once and after its arguments, so none meets the recursion limit; a compiled
-evaluator is straight-line code with one local per distinct node.
+numpy function, its Python source and its printed form.  Parsing is one
+operator-precedence loop, and every DAG walk (differentiation, evaluation,
+printing, compilation, jets, identity) loops over one ``_post_order`` list,
+each distinct node once and after its arguments, so no input meets the
+recursion limit; a compiled evaluator is straight-line code with one local
+per distinct node.
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, binary ``+ -``.
 Binary operators associate to the left, so ``a-b-c`` is ``(a-b)-c`` and
@@ -70,25 +71,22 @@ _ZERO, _ONE = Const(0.0), Const(1.0)
 
 class _Op(NamedTuple):
     fn: Callable  # numpy function of the argument values (then the exponent, for "pow")
-    errstate: dict | None  # np.errstate keywords around fn
     source: str  # Python source; {0}, {1} are the arguments and {k} the exponent
     text: str  # printed form, same fields
     prec: tuple  # printed precedence, then the least precedence each argument prints bare at
 
 
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5  # printed precedence, loosest first
-_IGNORE = {"divide": "ignore", "invalid": "ignore"}
-_OVER = {"over": "ignore"}
 _OPS = {
-    "add": _Op(operator.add, None, "{0} + {1}", "{0}+{1}", (_ADD, _ADD, _MUL)),
-    "sub": _Op(operator.sub, None, "{0} - {1}", "{0}-{1}", (_ADD, _ADD, _MUL)),
-    "mul": _Op(operator.mul, None, "{0} * {1}", "{0}*{1}", (_MUL, _MUL, _NEG)),
-    "div": _Op(np.divide, _IGNORE, "{0} / {1}", "{0}/{1}", (_MUL, _MUL, _NEG)),
-    "neg": _Op(operator.neg, None, "-({0})", "-{0}", (_NEG, _POW)),
-    "pow": _Op(lambda base, k: np.power(base, float(k)), _IGNORE, "({0}) ** ({k})", "{0}^{k}", (_POW, _POW)),
-    "sin": _Op(np.sin, _OVER, "np.sin({0})", "sin({0})", (_ATOM, 0)),
-    "cos": _Op(np.cos, _OVER, "np.cos({0})", "cos({0})", (_ATOM, 0)),
-    "exp": _Op(np.exp, _OVER, "np.exp({0})", "exp({0})", (_ATOM, 0)),
+    "add": _Op(operator.add, "{0} + {1}", "{0}+{1}", (_ADD, _ADD, _MUL)),
+    "sub": _Op(operator.sub, "{0} - {1}", "{0}-{1}", (_ADD, _ADD, _MUL)),
+    "mul": _Op(operator.mul, "{0} * {1}", "{0}*{1}", (_MUL, _MUL, _NEG)),
+    "div": _Op(np.divide, "{0} / {1}", "{0}/{1}", (_MUL, _MUL, _NEG)),
+    "neg": _Op(operator.neg, "-({0})", "-{0}", (_NEG, _POW)),
+    "pow": _Op(lambda base, k: np.power(base, float(k)), "({0}) ** ({k})", "{0}^{k}", (_POW, _POW)),
+    "sin": _Op(np.sin, "np.sin({0})", "sin({0})", (_ATOM, 0)),
+    "cos": _Op(np.cos, "np.cos({0})", "cos({0})", (_ATOM, 0)),
+    "exp": _Op(np.exp, "np.exp({0})", "exp({0})", (_ATOM, 0)),
 }
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -235,25 +233,21 @@ ArrayLike = Union[float, np.ndarray]
 def _eval(nodes: list[Node], env: Mapping[str, ArrayLike]) -> ArrayLike:
     """Value of the root that ends the ``_post_order`` list ``nodes``; each node's once."""
     done: dict[int, ArrayLike] = {}
-    for node in nodes:
-        op, args, value = node
-        if op == "const":
-            result = value
-        elif op == "var":
-            result = env[value]
-        else:
-            row = _OPS[op]
-            vals = []
-            for arg in args:  # a loop: a comprehension would cost a call per node
-                vals.append(done[id(arg)])
-            if value is not None:
-                vals.append(value)
-            if row.errstate is None:
-                result = row.fn(*vals)
+    with np.errstate(all="ignore"):  # inf and NaN come out silently; Expression.evaluate rejects them
+        for node in nodes:
+            op, args, value = node
+            if op == "const":
+                result = value
+            elif op == "var":
+                result = env[value]
             else:
-                with np.errstate(**row.errstate):
-                    result = row.fn(*vals)
-        done[id(node)] = result
+                vals = []
+                for arg in args:  # a loop: a comprehension would cost a call per node
+                    vals.append(done[id(arg)])
+                if value is not None:
+                    vals.append(value)
+                result = _OPS[op].fn(*vals)
+            done[id(node)] = result
     return result
 
 
@@ -271,18 +265,24 @@ def compile_evaluator(*exprs: "Expression"):
     per expression.  Its body assigns one local per distinct operator node,
     so a subexpression the expressions share is computed once.  Used to
     take expression evaluation out of hot integration loops; no finiteness
-    checks are performed, unlike :meth:`Expression.evaluate`.
+    checks are performed, unlike :meth:`Expression.evaluate`.  A node of
+    constants compiles to its value, computed here as ``_eval`` computes it.
     """
     variables = exprs[0].variables
     names: dict[int, str] = {}
+    folded: dict[int, ArrayLike] = {}  # node id -> value, for the nodes of constants only
     lines = [f"def _f({', '.join(variables)}):"]
     for node in _post_order([e.root for e in exprs]):
         op, args, value = node
-        if op == "const":
+        if op == "var":
+            names[id(node)] = value
+        elif all(id(a) in folded for a in args):  # a constant, or an operator on constants
+            if op != "const":
+                with np.errstate(all="ignore"):
+                    value = _OPS[op].fn(*[folded[id(a)] for a in args], *(() if value is None else (value,)))
+            folded[id(node)] = value
             text = repr(float(value))
             names[id(node)] = {"inf": "np.inf", "-inf": "-np.inf", "nan": "np.nan"}.get(text, text)
-        elif op == "var":
-            names[id(node)] = value
         else:
             name = f"_{len(lines)}"
             lines.append(f"    {name} = " + _OPS[op].source.format(*[names[id(a)] for a in args], k=value))
@@ -327,130 +327,94 @@ def _print(nodes: list[Node]) -> str:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(source) - len(stripped))
+    for m in _TOKEN_RE.finditer(source):  # every character but trailing whitespace is in a match
         kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, source: str, variables: tuple[str, ...]):
-        self.tokens = _tokenize(source)
-        self.variables = variables
-        self.i = 0
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "(": 0, **dict.fromkeys(_FUNCTIONS, 0)}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _parse(source: str, variables: tuple[str, ...]) -> Node:
+    """The tree of ``source``, by Dijkstra's operator-precedence method: one loop, two stacks.
 
-    def expect_op(self, op: str):
-        kind, text, offset = self.next()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}", offset)
-
-    def parse(self) -> Node:
-        try:
-            node = self.sum()
-        except RecursionError:  # the descent takes a few frames per parenthesis or unary minus
-            raise ExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {text!r}", offset)
-        return node
-
-    def sum(self) -> Node:
-        return self.infix(self.term, {"+": "add", "-": "sub"})
-
-    def term(self) -> Node:
-        return self.infix(self.unary, {"*": "mul", "/": "div"})
-
-    def infix(self, operand, ops: dict[str, str]) -> Node:
-        """A left-associative chain of ``operand``s joined by the operators ``ops``."""
-        node = operand()
-        while True:
-            kind, text, _ = self.peek()
-            if kind != "op" or text not in ops:
-                return node
-            self.next()
-            node = Node(ops[text], (node, operand()))
-
-    def unary(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            operand = self.unary()
-            if operand.op == "const":
-                return Const(-operand.value)
-            return Node("neg", (operand,))
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.next()
-                node = Node("pow", (node,), self.exponent())
-            else:
-                return node
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, text, offset = self.peek()
-        parens = kind == "op" and text == "("
-        if parens:
-            self.next()
-            kind, text, offset = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            sign = -1
-            kind, text, offset = self.peek()
-        if kind != "num" or any(c in text for c in ".eE"):
-            raise ExprSyntaxError("exponent must be an integer literal", offset)
-        self.next()
-        if parens:
-            self.expect_op(")")
-        return sign * int(text)
-
-    def atom(self) -> Node:
-        kind, text, offset = self.next()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "name":
-            if text == "pi":
-                return Const(math.pi)
+    Before an operand the loop takes unary minuses and openers (``(``, or a
+    function and its ``(``); after one it applies each ``^`` and its integer at
+    once, closes parentheses, and reduces the operators above the last opener
+    that bind at least as tightly (``_PREC``) as the next binary operator or
+    the end.  Only operator tokens have the texts ``( ) - ^``; the end has ``""``.
+    """
+    tokens = _tokenize(source)
+    operands: list[Node] = []
+    operators: list[str] = []
+    i = 0
+    while True:
+        kind, text, offset = tokens[i]
+        i += 1
+        if text == "-" or text == "(" or text in _FUNCTIONS:  # a unary minus or an opener: an operand follows
             if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.sum()
-                self.expect_op(")")
-                return Node(text, (arg,))
-            if text in self.variables:
-                return Var(text)
+                if tokens[i][1] != "(":
+                    raise ExprSyntaxError("expected '('", tokens[i][2])
+                i += 1
+            operators.append("neg" if text == "-" else text)
+            continue
+        if kind == "num":
+            operands.append(Const(float(text)))
+        elif kind != "name":
+            raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
+        elif text == "pi":
+            operands.append(Const(math.pi))
+        elif text in variables:
+            operands.append(Var(text))
+        else:
             raise UnknownIdentifierError(text, offset)
-        if kind == "op" and text == "(":
-            node = self.sum()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
+        while True:
+            kind, text, offset = tokens[i]
+            i += 1
+            if text == "^":
+                parens = tokens[i][1] == "("
+                minus = tokens[i + parens][1] == "-"
+                kind, text, offset = tokens[i + parens + minus]
+                if kind != "num" or not text.isdigit():
+                    raise ExprSyntaxError("exponent must be an integer literal", offset)
+                i += parens + minus + 1
+                if parens and tokens[i][1] != ")":
+                    raise ExprSyntaxError("expected ')'", tokens[i][2])
+                i += parens
+                operands[-1] = Node("pow", (operands[-1],), -int(text) if minus else int(text))
+                continue
+            op = _BINARY.get(text)
+            least = 1 if op is None else _PREC[op]
+            while operators and _PREC[operators[-1]] >= least:
+                top = operators.pop()
+                b = operands.pop()
+                if top != "neg":
+                    operands[-1] = Node(top, (operands[-1], b))
+                else:  # a unary minus of a constant folds to the constant
+                    operands.append(Const(-b.value) if b.op == "const" else Node("neg", (b,)))
+            if op is not None:
+                operators.append(op)
+                break
+            if not operators:
+                if not text:
+                    return operands[0]
+                raise ExprSyntaxError(f"unexpected token {text!r}", offset)
+            if text != ")":
+                raise ExprSyntaxError("expected ')'", offset)
+            opener = operators.pop()
+            if opener != "(":
+                operands[-1] = Node(opener, (operands[-1],))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +422,10 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Expression:
-    """An immutable expression over a fixed tuple of variable names."""
+    """An immutable expression over a fixed tuple of variable names; equal, hashed
+    and pickled by its flat ``_key``, so none of the three recurses."""
 
     root: Node
     variables: tuple[str, ...]
@@ -487,12 +452,8 @@ class Expression:
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, d) array whose columns follow ``self.variables``."""
         points = np.asarray(points, dtype=float)
-        env = {name: points[..., k] for k, name in enumerate(self.variables)}
-        result = _eval(self._nodes, env)
-        out = np.broadcast_to(np.asarray(result, dtype=float), points.shape[:-1]).copy()
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError(f"expression produced a non-finite value: {self}")
-        return out
+        values = self.evaluate({name: points[..., k] for k, name in enumerate(self.variables)})
+        return np.broadcast_to(values, points.shape[:-1]).copy()
 
     def diff(self, var: str) -> "Expression":
         """Symbolic partial derivative with respect to ``var``, constants folded."""
@@ -503,10 +464,29 @@ class Expression:
     def __str__(self) -> str:
         return _print(self._nodes)
 
+    def __repr__(self) -> str:
+        return f"Expression({str(self)!r}, {self.variables!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Expression) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):
+        return _rebuild, self._key
+
     @cached_property
     def _nodes(self) -> list[Node]:
         """The distinct nodes, each after its arguments: one walk, shared by every pass over the DAG."""
         return _post_order([self.root])
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The variables, then ``(op, value, positions of the arguments)`` for each node of ``_nodes``:
+        equal keys are DAGs that match node for node, sharing included."""
+        position = {id(node): k for k, node in enumerate(self._nodes)}
+        return self.variables, tuple((op, value, tuple(position[id(a)] for a in args)) for op, args, value in self._nodes)
 
     # Arithmetic helpers used when combining fields; results stay immutable.
     def _wrap_node(self, node: Node) -> "Expression":
@@ -534,6 +514,14 @@ class Expression:
         return Const(float(other))
 
 
+def _rebuild(variables: tuple[str, ...], flat: tuple) -> Expression:
+    """The expression whose ``_key`` is ``(variables, flat)``, its node sharing included."""
+    nodes: list[Node] = []
+    for op, value, positions in flat:
+        nodes.append(Node(op, tuple(nodes[k] for k in positions), value))
+    return Expression(nodes[-1], variables)
+
+
 def parse(source: str, variables: tuple[str, ...] | list[str]) -> Expression:
     """Parse ``source`` into an :class:`Expression` over ``variables``.
 
@@ -547,10 +535,10 @@ def parse(source: str, variables: tuple[str, ...] | list[str]) -> Expression:
     Raises
     ------
     ExprSyntaxError
-        On malformed input, or nesting deeper than the recursion limit allows,
-        with the byte offset of the problem.
+        On malformed input, with the byte offset of the problem; any
+        nesting parses.
     UnknownIdentifierError
         For identifiers that are neither keywords nor declared variables.
     """
     vars_tuple = tuple(variables)
-    return Expression(_Parser(source, vars_tuple).parse(), vars_tuple)
+    return Expression(_parse(source, vars_tuple), vars_tuple)
