@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy  # loaded already, by manifold's scipy.spatial
+import scipy  # its version only: the package itself loads no submodule
 
 from . import HEAP_POLICY, __version__
 from .bracket import MAX_GENERATION, BracketTable, enumerate_monomials, poisson

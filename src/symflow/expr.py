@@ -259,14 +259,14 @@ def _eval(nodes: list[Node], env: Mapping[str, ArrayLike]) -> ArrayLike:
 def compile_evaluator(*exprs: "Expression"):
     """Build a numpy-vectorized callable of the expressions' variables.
 
-    The callable takes one array per variable (positionally, in the
-    variable order the expressions share) and always returns an array of
-    the broadcast shape, or for several expressions a tuple of them, one
-    per expression.  Its body assigns one local per distinct operator node,
-    so a subexpression the expressions share is computed once.  Used to
-    take expression evaluation out of hot integration loops; no finiteness
-    checks are performed, unlike :meth:`Expression.evaluate`.  A node of
-    constants compiles to its value, computed here as ``_eval`` computes it.
+    The callable takes one array per variable, all of one shape, positionally
+    in the variable order the expressions share, and returns a new array of
+    that shape with the bytes ``eval_at`` gives, or for several expressions a
+    tuple of distinct new arrays.  Its body assigns one local per distinct
+    operator node, so a subexpression the expressions share is computed once.
+    Used to take expression evaluation out of hot integration loops; no
+    finiteness checks are performed, unlike :meth:`Expression.evaluate`.  A
+    node of constants compiles to its value, computed as ``_eval`` computes it.
     """
     variables = exprs[0].variables
     names: dict[int, str] = {}
@@ -281,14 +281,18 @@ def compile_evaluator(*exprs: "Expression"):
                 with np.errstate(all="ignore"):
                     value = _OPS[op].fn(*[folded[id(a)] for a in args], *(() if value is None else (value,)))
             folded[id(node)] = value
-            text = repr(float(value))
-            names[id(node)] = {"inf": "np.inf", "-inf": "-np.inf", "nan": "np.nan"}.get(text, text)
+            text = ("-" if math.copysign(1.0, value) < 0 else "") + repr(abs(float(value)))  # a NaN keeps its sign
+            names[id(node)] = text.replace("inf", "np.inf").replace("nan", "np.nan")
         else:
             name = f"_{len(lines)}"
             lines.append(f"    {name} = " + _OPS[op].source.format(*[names[id(a)] for a in args], k=value))
             names[id(node)] = name
-    lines.append(f"    _z = 0.0 * {variables[0]}")
-    lines.append("    return " + ", ".join(f"{names[id(e.root)]} + _z" for e in exprs))
+    results: list[str] = []
+    for e in exprs:  # an operator's local is a new array, returned once; a leaf or a repeat is filled into a new one
+        name = names[id(e.root)]
+        leaf = id(e.root) in folded or e.root.op == "var"
+        results.append(f"np.full(np.shape({variables[0]}), {name})" if leaf or name in results else name)
+    lines.append("    return " + ", ".join(results))
     namespace = {"np": np, "__builtins__": {}}
     exec("\n".join(lines), namespace)
     return namespace["_f"]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bracket import FOUR_PI, BracketTable, q_norm
 from .bracket import _multi_indices, _sphere_gradients, _torus_partials
-from .errors import DegenerateInputError, InterpolationDominatesWarning, NoConvergenceError
+from .errors import DegenerateInputError, InterpolationDominatesWarning, MeshMismatchError, NoConvergenceError
 from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
 from .expr import Expression, compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
@@ -291,9 +291,9 @@ def compose_scheme(scheme: SplittingScheme, f: ScalarField, g: ScalarField, t: f
 # ---------------------------------------------------------------------------
 
 
-def _compiled(expr):
-    """Compiled evaluator of an expression at an array of points."""
-    fn = compile_evaluator(expr)
+def _compiled(*exprs):
+    """Compiled evaluator of expressions at an array of points."""
+    fn = compile_evaluator(*exprs)
     return lambda pts: fn(*pts.T)
 
 
@@ -333,27 +333,23 @@ class StaticHamiltonian:
         """
         field, mesh = self.field, self.field.mesh
         if field.expr is not None:
-            # a partial folded to the constant +0 would give +0 at every finite point: the float 0.0 rounds the same
-            grads = [(lambda pts: 0.0) if d.root.op == "const" and d.root.value == 0.0
-                     and math.copysign(1.0, d.root.value) > 0 else _compiled(d)
-                     for d in map(field.expr.diff, mesh.coord_names)]
+            grads = _compiled(*map(field.expr.diff, mesh.coord_names))
         else:
             if mesh.kind == "torus":
                 partials = _torus_partials(mesh, field.values)
             else:
                 partials = _sphere_gradients(mesh, field.values).T
-            grads = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
+            interpolants = [partial(interpolate, ScalarField(mesh, d)) for d in partials]
+            grads = lambda pts: [g(pts) for g in interpolants]
         if mesh.kind == "torus":
-            gq, gp = grads
-
             def torus_velocity(pts: np.ndarray) -> np.ndarray:
-                out = np.empty(pts.shape)
-                out[:, 0], out[:, 1] = gp(pts), -gq(pts)
+                (gq, gp), out = grads(pts), np.empty(pts.shape)
+                out[:, 0], out[:, 1] = gp, -gq
                 return out
             return torus_velocity
 
         def sphere_velocity(pts: np.ndarray) -> np.ndarray:  # 4 pi grad H x p in the products np.cross takes
-            (dx, dy, dz), (x, y, z) = [d(pts) for d in grads], pts.T
+            (dx, dy, dz), (x, y, z) = grads(pts), pts.T
             return FOUR_PI * np.stack([dy * z - dz * y, dz * x - dx * z, dx * y - dy * x], axis=1)
 
         return sphere_velocity
@@ -661,7 +657,7 @@ def cocycle_hamiltonian(scheme: SplittingScheme, f: ScalarField, g: ScalarField,
     """
     mesh = f.mesh
     if not mesh.same_as(g.mesh):
-        raise ValueError("fields live on different meshes")
+        raise MeshMismatchError("fields live on different meshes")
     stages = _stages(scheme, StaticHamiltonian(f), StaticHamiltonian(g))
     total = _pullback_sum(stages, mesh.points, t)
     interp_budget = sum(abs(coef) * _interp_error_scale(h.field) for coef, h in stages if h.field.expr is None)

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import LocationFailureError, MeshMismatchError, SizeTooSmallError
 from .expr import Expression, parse
@@ -116,7 +115,8 @@ class SphereTri(Mesh):
         return self.triangles.shape[0]
 
     @cached_property
-    def kdtree(self) -> cKDTree:
+    def kdtree(self):
+        from scipy.spatial import cKDTree  # on first use: it loads slower and larger than the rest of symflow
         return cKDTree(self.points)
 
     @cached_property

@@ -493,10 +493,10 @@ def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
     one of width w = 0, or one whose density m / w would leave more than
     ``_DENSITY_ROUNDING`` of rounding, about 2 eps m R / w (R the field's
     range), in the running density sum.  Every knot is some vertex's value,
-    so all (edge, knot) pairs are keyed edge * n + value class and sorted
-    once; every edge's sums restart at zero.  Returns the node atoms and the
-    profiles in ``ReebGraph``'s CSR layout: ``start``, ``knots``,
-    ``cum_left`` and ``cum_right``.
+    so all (edge, knot) pairs are keyed edge * n + value class, deduplicated
+    once, and each knot reads its value from its class; every edge's sums
+    restart at zero.  Returns the node atoms and the profiles in
+    ``ReebGraph``'s CSR layout: ``start``, ``knots``, ``cum_left`` and ``cum_right``.
     """
     n_nodes, n_edges, n = crit.size, e_lower.size, rank.size
     node_vals, node_rank = vals[crit], rank[crit]
@@ -518,7 +518,10 @@ def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
     anchor[at] = np.where(go_up, first_up[nid], first_down[nid])
 
     a_lo, a_hi = e_lower[anchor], e_upper[anchor]
-    l_in, h_in = np.clip(np.stack([lo, hi]), node_vals[a_lo], node_vals[a_hi])
+    sv = np.empty(n)  # values by rank: rank order is value order, so a band end clipped in ranks has the clipped value
+    sv[rank] = vals
+    r_lo, r_hi = np.clip(np.stack([r_lo, r_hi]), node_rank[a_lo], node_rank[a_hi])
+    l_in, h_in = sv[r_lo], sv[r_hi]
     width = hi - lo
     wide = width * _DENSITY_ROUNDING > 2.0 * np.finfo(float).eps * tmass * np.ptp(vals)
     safe_w = np.where(wide, width, 1.0)
@@ -530,21 +533,15 @@ def _deposit_mass(mesh, vals, rank, value_class, crit, e_lower, e_upper,
                             weights=np.concatenate([below, above]), minlength=n_nodes)
 
     # Knots: both node values of every edge, the ends of every band inside
-    # it, and its atoms, deduplicated per edge after one sort.  Rank order
-    # is value order, so a band end clipped in ranks has the clipped value.
+    # it, and its atoms, deduplicated per edge by one np.unique; a knot
+    # reads its value from its value class.
     seg = np.nonzero(inside > 0)[0]
     pts = np.nonzero(atom_mass > 0)[0]
-    r_lo, r_hi = np.clip(np.stack([r_lo, r_hi]), node_rank[a_lo], node_rank[a_hi])
     key = np.concatenate([ids, ids, anchor[seg], anchor[seg], anchor[pts]]) * n
     key += value_class[np.concatenate([node_rank[e_lower], node_rank[e_upper], r_lo[seg], r_hi[seg], r_lo[pts]])]
-    value = np.concatenate([node_vals[e_lower], node_vals[e_upper], l_in[seg], h_in[seg], l_in[pts]])
-    srt = np.argsort(key)
-    s_key = key[srt]
-    first = np.flatnonzero(np.concatenate(([True], s_key[1:] != s_key[:-1])))  # of each knot, in sort order
-    knot_of = np.empty(srt.size, dtype=np.int64)
-    knot_of[srt] = np.repeat(np.arange(first.size), np.diff(first, append=srt.size))
-    knots = value[srt[first]]
-    bounds = np.searchsorted(s_key[first], np.arange(n_edges + 1) * n)
+    knot_key, knot_of = np.unique(key, return_inverse=True)
+    knots = sv[knot_key % n]
+    bounds = np.searchsorted(knot_key, np.arange(n_edges + 1) * n)
     count = np.diff(bounds)
     k_lo, k_hi, k_pt = np.split(knot_of[2 * n_edges:], [seg.size, 2 * seg.size])
 

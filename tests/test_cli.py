@@ -366,6 +366,17 @@ def test_khl_depth_two_is_always_unity(small_cfg):
         assert row[idx["ratio"]] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_khl_samples_smooth_torus_perturbations(tmp_path):
+    spec = write_spec(tmp_path, out=str(tmp_path / "t"), manifold="torus", torus_n=16, n_max=3, family_size=1,
+                      amplitudes=[0.1], f="0.3*sin(2*pi*q)", g="0.2*cos(2*pi*p)")
+    assert run(["khl", "--spec", spec]) == 0
+    rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    assert [(op, pair, n) for op, pair, n, *_ in rows] == [
+        ("pair", "base", "2"), ("pair", "base", "3"), ("pair", "pert00s0.1", "2"), ("pair", "pert00s0.1", "3"),
+        ("a_n", "family-max", "2"), ("a_n", "family-max", "3")]
+    assert all(ratio == "1" for _, _, n, ratio, *_ in rows if n == "2")
+
+
 def test_khl_flags_commuting_input():
     cfg = ExperimentConfig(level=3, family_size=0, f="x", g="2*x", n_max=3)
     table = khl_sweep(cfg)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -17,6 +18,7 @@ from symflow.expr import (
     NonFiniteError,
     UnknownIdentifierError,
     Var,
+    _eval,
     _parse,
     compile_evaluator,
     parse,
@@ -333,11 +335,48 @@ def test_compiled_matches_interpreted(source):
     for d in [e, *firsts, *(d.diff(w) for d in firsts for w in VARS)]:
         got = compile_evaluator(d)(*pts.T)
         assert got.shape == (40,)
-        assert np.array_equal(got, d.eval_at(pts)), str(d)
+        assert got.tobytes() == d.eval_at(pts).tobytes(), str(d)
     for v, d in zip(VARS, firsts):
         rate, curvature = compile_evaluator(d, d.diff(v))(*pts.T)
-        assert np.array_equal(rate, d.eval_at(pts))
-        assert np.array_equal(curvature, d.diff(v).eval_at(pts))
+        assert rate.tobytes() == d.eval_at(pts).tobytes()
+        assert curvature.tobytes() == d.diff(v).eval_at(pts).tobytes()
+
+
+def test_compiled_output_is_the_interpreted_bytes_on_the_corpus():
+    """Every valid source among the first 6 000 of ``_corpus`` (and ``-0``) and its three first
+    partials, at the 216 points with coordinates in {-1.5, -0.5, -0.0, +0.0, 0.25, 2}: the compiled
+    bytes are those ``_eval`` computes before ``eval_at`` checks finiteness, signs of zeros and of
+    NaNs included, and ``eval_at``'s own wherever that is finite."""
+    pts = np.array(list(itertools.product([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0], repeat=3)))
+    exprs = []
+    for source in ["-0", *_corpus(6_000)]:
+        try:
+            e = parse(source, VARS)
+        except ExprSyntaxError:
+            continue
+        exprs += [e, *(e.diff(v) for v in VARS)]
+    assert len(exprs) >= 4 * 2_000
+    with np.errstate(all="ignore"):
+        for d in exprs:
+            got = compile_evaluator(d)(*pts.T)
+            want = np.broadcast_to(_eval(d._nodes, dict(zip(VARS, pts.T))), len(pts))
+            assert got.tobytes() == want.tobytes(), str(d)
+            finite = np.isfinite(want)
+            if finite.any():
+                assert got[finite].tobytes() == d.eval_at(pts[finite]).tobytes(), str(d)
+
+
+def test_compiled_results_are_new_arrays():
+    """``exp(q)`` is its own q-partial, so one node is returned twice; it comes back as two
+    arrays, and neither they nor a returned variable share memory with each other or an input."""
+    e = parse("exp(q)", ("q", "p"))
+    assert e.diff("q").root is e.root
+    q, p = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 1.0, 7)
+    outs = compile_evaluator(e, e.diff("q"), parse("p", ("q", "p")))(q, p)
+    assert outs[0] is not outs[1]
+    for k, out in enumerate(outs):
+        assert not any(np.shares_memory(out, other) for other in (q, p, *outs[k + 1:]))
+    assert outs[0].tobytes() == outs[1].tobytes() == np.exp(q).tobytes() and outs[2].tobytes() == p.tobytes()
 
 
 def test_compiled_non_finite_constants_are_numpy_names():

@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 from symflow import flow
 from symflow.bracket import FOUR_PI, DegenerateInputError, OutOfRangeError, SymbolicRequiredError, poisson
+from symflow.errors import MeshMismatchError
 from symflow.flow import (
     CocycleGenerator,
     EquivalenceOrders,
@@ -515,10 +516,7 @@ def test_kept_endpoints_of_a_sphere_generator_equal_a_fresh_run(sphere_pair):
 
 
 def test_velocity_rounds_as_the_column_stack_and_cross_forms(torus, sphere):
-    """Filled columns and written-out cross products round as ``column_stack`` and ``np.cross`` did.
-
-    The p-partial of ``sin(2 pi q)`` folds to the constant +0 and is not evaluated.
-    """
+    """Filled columns and written-out cross products round as ``column_stack`` and ``np.cross`` did."""
     for mesh, exprs in ((torus, ["0.3*sin(2*pi*q)", "0.2*cos(2*pi*p)", "sin(2*pi*q)*cos(2*pi*p) - q"]),
                         (sphere, ["0.35*x", "0.3*x+0.1*y", "-z", "x*y + 0.5*z^2"])):
         pts = default_probes(mesh.kind, 9, seed=27)
@@ -530,6 +528,22 @@ def test_velocity_rounds_as_the_column_stack_and_cross_forms(torus, sphere):
             else:
                 want = FOUR_PI * np.cross(np.column_stack(grads), pts)
             assert StaticHamiltonian(h).velocity(pts, 0.0).tobytes() == want.tobytes(), text
+
+
+def test_a_field_compiles_its_partials_in_one_evaluator(torus, sphere, monkeypatch):
+    """One compile per field for all its partials, a partial that folds to +0 among them."""
+    compiled = []
+
+    def counted(*exprs):
+        compiled.append(tuple(map(str, exprs)))
+        return compile_evaluator(*exprs)
+
+    monkeypatch.setattr(flow, "compile_evaluator", counted)
+    for mesh, text in ((torus, "0.3*sin(2*pi*q)"), (sphere, "x*y + 0.5*z^2")):
+        h = sample(mesh, text)
+        compiled.clear()
+        StaticHamiltonian(h).velocity(default_probes(mesh.kind, 5, seed=3))
+        assert compiled == [tuple(str(h.expr.diff(v)) for v in mesh.coord_names)]
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +767,21 @@ def test_generator_interpolation_warning(torus_pair):
         cocycle_hamiltonian(lie_trotter(), f, g_num, 0.2)
 
 
+def test_a_sphere_generator_warns_when_interpolation_dominates():
+    """On the sphere the interpolation error estimate is a quarter of the largest jump along a mesh edge."""
+    mesh = build_sphere(3)
+    f, g = sample(mesh, "0.3*x + 0.1*y"), sample(mesh, "z*z - 0.2*x")
+    with pytest.warns(InterpolationDominatesWarning, match="estimate 4.39e-02"):
+        k = cocycle_hamiltonian(lie_trotter(), f, ScalarField(mesh, g.values, None), 0.2)
+    assert np.max(np.abs(k.values - cocycle_hamiltonian(lie_trotter(), f, g, 0.2).values)) < 0.0078
+
+
+def test_a_generator_of_fields_on_different_meshes_raises():
+    f, g = sample(build_torus(8, 8), "sin(2*pi*q)"), sample(build_torus(16, 16), "cos(2*pi*p)")
+    with pytest.raises(MeshMismatchError, match="fields live on different meshes"):
+        cocycle_hamiltonian(strang(), f, g, 0.1)
+
+
 def test_generator_symbolic_emits_no_warning(torus_pair):
     f, g = torus_pair
     with warnings.catch_warnings():
@@ -926,6 +955,13 @@ def test_flow_equivalence_gap():
     assert result.hamiltonian_exponent == pytest.approx(2.0, abs=0.02)
     assert result.flow_exponent == pytest.approx(3.0, abs=0.15)
     assert result.gap == pytest.approx(1.0, abs=0.15)
+
+
+def test_equal_paths_leave_nothing_to_fit():
+    mesh = build_sphere(3)
+    path = LinearPathHamiltonian([(lambda s: 1.0, sample(mesh, "x + 0.4*y"))])
+    with pytest.raises(NoConvergenceError, match="too few usable points to fit flow_distance"):
+        flow_equivalence_order(path, path, mesh, t_list=[0.05, 0.025, 0.0125])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import symflow
 from symflow.expr import parse
 from symflow.manifold import (
     LocationFailureError,
@@ -177,6 +182,23 @@ def test_mesh_mismatch(sphere4):
     g = sample(other, "x")
     with pytest.raises(MeshMismatchError):
         _ = f + g
+
+
+def test_field_and_expression_difference_and_negation(sphere4):
+    x, y = sample(sphere4, "x"), sample(sphere4, "y")
+    for field, text, values in ((x - y, "x-y", x.values - y.values), (-x, "-x", -x.values)):
+        assert str(field.expr) == text and field.values.tobytes() == values.tobytes()
+    assert str(-x.expr) == "-x"
+
+
+def test_the_cli_imports_scipy_spatial_only_for_a_kd_tree():
+    """Only interpolation of a sphere field without an expression needs the tree."""
+    code = ("import sys, symflow.cli; assert 'scipy.spatial' not in sys.modules; "
+            "from symflow.manifold import build_sphere; print(build_sphere(3).kdtree.query([0.0, 0.0, 1.0])[1])")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(symflow.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == int(np.argmax(build_sphere(3).points[:, 2]))
 
 
 def test_expression_coordinate_mismatch(sphere4):
