@@ -478,19 +478,19 @@ class CocycleGenerator:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
+def _rk4_levels(ham, points: np.ndarray, t, nsteps):
     """Classical RK4 over ``[0, t]`` in ``nsteps`` steps; sequences of ``t``, ``nsteps`` stack groups.
 
     One loop runs every group on all of ``points``, each row with its own step and stage time
-    ``s`` (the float 0.0 at the first k1), so a row rounds as a run on its own would.
+    ``s`` (the float 0.0 at the first k1), so a row rounds as a run on its own would.  Yields
+    (flat group index, endpoints) as each group leaves, fewest steps first, until the caller stops.
     """
     start = np.array(points, dtype=float)
     ts, ns = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(nsteps))
     groups = sorted(zip(ns.ravel().tolist(), ts.ravel().tolist(), range(ns.size)))  # the next to leave heads the rows
     m = len(start)
     h, pts = np.repeat([tg / n for n, tg, _ in groups], m), np.tile(start, (len(groups), 1))
-    out = np.empty((len(groups),) + start.shape)
-    sphere = ham.mesh_kind == "sphere"
+    sphere, torus = ham.mesh_kind == "sphere", ham.mesh_kind == "torus"
     s, done = 0.0, 0
     for n, _, group in groups:
         col = h[:, None]
@@ -505,11 +505,16 @@ def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
                 pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             s = end
         done = max(done, n)
-        out[group], pts, h = pts[:m], pts[m:], h[m:]
+        ends, pts, h = pts[:m], pts[m:], h[m:]
         s = s[m:] if np.ndim(s) else s
-    if ham.mesh_kind == "torus":
-        out %= 1.0
-    return out.reshape(ts.shape + start.shape)
+        yield group, ends % 1.0 if torus else ends
+
+
+def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
+    """The endpoints of every group of :func:`_rk4_levels`, shaped as the broadcast ``t``, ``nsteps``."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(nsteps)) + np.shape(points)
+    levels = sorted(_rk4_levels(ham, points, t, nsteps), key=lambda level: level[0])
+    return np.array([ends for _, ends in levels]).reshape(shape)
 
 
 @dataclass
@@ -561,19 +566,21 @@ def reference_flow(
 ) -> ReferenceFlow:
     """Integrate the Hamiltonian vector field with step doubling.
 
-    RK4 runs with 16 steps, twice as many, and so on, on a probe set; the first
-    run within ``tol`` of the one before is kept, with that gap as the error estimate,
-    a copy of the probes and its endpoints.  One :func:`_rk4` loop runs the first two
-    levels, the next as many more as the h^4 law (Hairer, Norsett & Wanner, *Solving
-    ODEs I*, II.4) predicts from the last gap, and so on; scanned in order, an overshoot
-    costs time, not identity.  ``h`` gets ``s`` as an array of per-row times.
+    RK4 runs with 16 steps, twice as many, and so on, on a probe set.  A run is kept, with a
+    copy of the probes and its own endpoints, once its gap g to the one before is within
+    ``tol`` (error estimate g), or once the last two doublings each shrank the gap 8x to 32x,
+    2g/15 is within ``tol`` and g/15 is at least the rounding floor 1e-12 (error estimate
+    2g/15: in that h^4 range its error is about g/15, Richardson's estimate; Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.4).  One :func:`_rk4_levels` loop runs the first two levels,
+    the next as many more as the h^4 law predicts for 2g/15, and so on; each level is checked
+    as it leaves; the first kept or hopeless one stops the loop.  ``h`` gets ``s`` per row.
 
     Raises
     ------
     NoConvergenceError
-        If the gap never reaches ``tol`` within the step budget, or if, once the last two
-        doublings each shrank it 8x to 32x, even 32x per doubling left could not bring it
-        there: then at once.
+        If no run is kept within the step budget, or if, once the last two doublings each
+        shrank the gap 8x to 32x, even 32x per doubling left could not bring it within
+        ``tol``: then at once.
     """
     ham = _coerce_hamiltonian(h)
     if probes is None:
@@ -581,22 +588,25 @@ def reference_flow(
     probes = np.array(probes, dtype=float)
     batch, prev, gaps = [_MIN_STEPS, 2 * _MIN_STEPS], None, []
     while True:
-        for n, cur in zip(batch, _rk4(ham, probes, t, batch)):
+        for n, (_, cur) in zip(batch, _rk4_levels(ham, probes, t, batch)):  # a batch leaves in its order
             if prev is not None:
                 gaps.append(gap := float(np.max(point_distances(ham.mesh_kind, cur, prev))))
-                if gap <= tol:
-                    return ReferenceFlow(ham, t, n, ham.mesh_kind, gap, probes, cur)
+                # The h^4 range, 16x per doubling, shows in two ratios in a row: one 21x drop can be
+                # followed by a 58x one on the way out of the pre-asymptotic range.
+                in_range = len(gaps) > 2 and all(8.0 * b <= a <= 32.0 * b for a, b in zip(gaps[-3:], gaps[-2:]))
+                est = 2.0 * gap / 15.0 if gap > tol and in_range and gap / 15.0 >= 1e-12 else gap
+                if est <= tol:
+                    return ReferenceFlow(ham, t, n, ham.mesh_kind, est, probes, cur)
                 if n >= max_steps:
                     raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
+                aim = 2.0 * gap / (15.0 * tol) if tol > 0.0 else math.inf
+                more = max(1, math.ceil(math.log(aim, 16))) if math.isfinite(aim) else 1
+                reach = [n * 2**j for j in range(1, 64) if n * 2 ** (j - 1) < max_steps]
+                if in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
+                    raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 "
+                                             f"law: {n * 2**more}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to "
+                                             f"{n} steps")
             prev = cur
-        more = max(1, math.ceil(math.log(gap / tol, 16))) if tol > 0.0 and math.isfinite(gap / tol) else 1
-        reach = [n * 2**j for j in range(1, 64) if n * 2 ** (j - 1) < max_steps]
-        # The h^4 range, 16x per doubling, shows in two ratios in a row: one 21x drop can be
-        # followed by a 58x one on the way out of the pre-asymptotic range.
-        in_range = len(gaps) > 2 and all(8.0 * b <= a <= 32.0 * b for a, b in zip(gaps[-3:], gaps[-2:]))
-        if in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
-            raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 law: "
-                                     f"{n * 2**more}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
         batch = reach[:more]
 
 

@@ -380,18 +380,20 @@ def test_compiled_results_are_new_arrays():
 
 
 def test_compiled_non_finite_constants_are_numpy_names():
-    """A constant that is infinite or NaN compiles to ``np.inf``, ``-np.inf`` or
-    ``np.nan``; the callable returns what numpy gives and checks nothing."""
+    """A constant that is infinite or NaN compiles to ``np.inf``, ``-np.inf``, ``np.nan`` or
+    ``-np.nan``, keeping the NaN's sign bit; the callable returns the interpreted bytes and checks
+    nothing.  Bytes, because ``assert_array_equal`` does not see the sign of a NaN."""
     ones = np.ones(2)
-    nan = parse("x*1e999 + x*-1e999 + y", ("x", "y")).diff("x")  # folds to the constant NaN
+    nan = parse("x*1e999 + x*-1e999 + y", ("x", "y")).diff("x")  # folds to the constant NaN of inf + -inf
     assert str(nan) == "nan"
     for expr, want in [
         (parse("x*1e999", ("x", "y")), np.inf),
         (parse("y - x*-1e999", ("x", "y")), np.inf),
         (parse("x*-1e999", ("x", "y")), -np.inf),
-        (nan, np.nan),
+        (nan, math.inf + -math.inf),  # as folded: its sign bit is set on x86-64
     ]:
-        np.testing.assert_array_equal(compile_evaluator(expr)(ones, ones), np.full(2, want))
+        interpreted = np.broadcast_to(_eval(expr._nodes, {"x": ones, "y": ones}), 2)
+        assert compile_evaluator(expr)(ones, ones).tobytes() == interpreted.tobytes() == np.full(2, want).tobytes()
 
 
 @pytest.mark.parametrize("source, variables", [

@@ -314,17 +314,26 @@ def test_reference_endpoints_reuse_the_calibration_at_the_largest_t(torus_pair):
 
 
 def _sequential_doubling(ham, t, tol, probes, min_steps=16, max_steps=1 << 17):
-    """Test-only reference for ``reference_flow``: one ``_rk4`` run per doubling, in turn."""
-    n = min_steps
+    """Test-only reference for ``reference_flow``: one ``_rk4`` run per doubling, in turn, each kept or
+    refused by the stop rule written out anew."""
+    n, gaps = min_steps, []
     prev = flow._rk4(ham, probes, t, n)
     while True:
         n *= 2
         cur = flow._rk4(ham, probes, t, n)
-        gap = float(np.max(point_distances(ham.mesh_kind, cur, prev)))
+        gaps.append(gap := float(np.max(point_distances(ham.mesh_kind, cur, prev))))
         if gap <= tol:
             return n, gap, cur
+        h4 = len(gaps) >= 3 and 8.0 * gaps[-2] <= gaps[-3] <= 32.0 * gaps[-2] and 8.0 * gap <= gaps[-2] <= 32.0 * gap
+        if h4 and gap / 15.0 >= 1e-12 and 2.0 * gap / 15.0 <= tol:  # Richardson: level n is about gap / 15 off
+            return n, 2.0 * gap / 15.0, cur
         if n >= max_steps:
             raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
+        left = sum(1 for k in range(64) if n << k < max_steps)
+        if h4 and tol * 32.0**left < gap:
+            law = n * 2 ** max(1, math.ceil(math.log(2.0 * gap / (15.0 * tol), 16)))
+            raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 law: "
+                                     f"{law}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
         prev = cur
 
 
@@ -372,16 +381,17 @@ def test_calibration_matches_the_sequential_doubling(kind, t, tol, torus_pair, s
 
 
 def test_an_overshooting_prediction_keeps_the_first_converged_level(torus_pair, monkeypatch):
-    """Yoshida 4 at tol 1e-8: the h^4 law asks for 512 steps, doubling stops at 256."""
+    """Yoshida 4 at tol 1.2e-9: the h^4 law asks for 512 steps; at 256 the gap has shrunk 17x twice
+    and 2 gap / 15 is 1.15e-9, so doubling stops there and the 512-step level is not run."""
     gen = CocycleGenerator(yoshida(4), *torus_pair)
     pts = default_probes("torus", 24, seed=5)
-    batches, rk4 = [], flow._rk4
-    monkeypatch.setattr(flow, "_rk4", lambda ham, p, t, n: batches.append(list(n)) or rk4(ham, p, t, n))
-    ref = reference_flow(gen, 0.2, tol=1e-8, probes=pts)
-    monkeypatch.setattr(flow, "_rk4", rk4)
+    batches, ran, ref = _batches_of(monkeypatch, lambda: reference_flow(gen, 0.2, tol=1.2e-9, probes=pts))
     assert batches == [[16, 32], [64, 128, 256, 512]]
-    nsteps, gap, ends = _sequential_doubling(gen, 0.2, 1e-8, pts)
-    assert (ref.nsteps, ref.error_estimate) == (nsteps, gap) == (256, gap)
+    assert ran == [[16, 32], [64, 128, 256]]
+    nsteps, estimate, ends = _sequential_doubling(gen, 0.2, 1.2e-9, pts)
+    gap = _doubling_gaps(gen, 0.2, pts, 256)[-1]
+    assert (ref.nsteps, ref.error_estimate) == (nsteps, estimate) == (256, 2.0 * gap / 15.0)
+    assert gap > 1.2e-9
     assert np.array_equal(ref.endpoints, ends)
 
 
@@ -398,15 +408,24 @@ def test_the_step_budget_raises_as_the_sequential_doubling_does(kind, max_steps,
 
 
 def _batches_of(monkeypatch, call):
-    """The step counts of each ``_rk4`` call that ``call()`` makes, and its result or error."""
-    batches, rk4 = [], flow._rk4
-    monkeypatch.setattr(flow, "_rk4", lambda ham, p, t, n: batches.append(list(n)) or rk4(ham, p, t, n))
+    """The step counts planned for each ``_rk4_levels`` loop that ``call()`` starts, the step counts of
+    the levels that left each loop before it stopped, and the call's result or error."""
+    batches, ran, levels = [], [], flow._rk4_levels
+
+    def recorded(ham, p, t, ns):
+        batches.append(list(ns))
+        ran.append([])
+        for group, ends in levels(ham, p, t, ns):
+            ran[-1].append(ns[group])
+            yield group, ends
+
+    monkeypatch.setattr(flow, "_rk4_levels", recorded)
     try:
-        return batches, call()
+        return batches, ran, call()
     except NoConvergenceError as err:
-        return batches, err
+        return batches, ran, err
     finally:
-        monkeypatch.setattr(flow, "_rk4", rk4)
+        monkeypatch.setattr(flow, "_rk4_levels", levels)
 
 
 def _doubling_gaps(ham, t, probes, max_steps):
@@ -420,21 +439,24 @@ def test_a_budget_the_h4_law_cannot_meet_raises_at_once(torus_pair, monkeypatch)
     32x in the one doubling left would not reach 1e-6, so the 2048-step level is not run."""
     gen = CocycleGenerator(yoshida(4), *torus_pair)
     pts = default_probes("torus", 8, seed=23)
-    batches, err = _batches_of(monkeypatch, lambda: reference_flow(gen, 0.35, tol=1e-6, probes=pts, max_steps=2048))
-    assert batches == [[16, 32], [64, 128, 256, 512, 1024]]
+    batches, ran, err = _batches_of(monkeypatch,
+                                    lambda: reference_flow(gen, 0.35, tol=1e-6, probes=pts, max_steps=2048))
+    assert batches == [[16, 32], [64, 128, 256, 512], [1024, 2048]]
+    assert ran == [[16, 32], [64, 128, 256, 512], [1024]]
     gaps = _doubling_gaps(gen, 0.35, pts, 2048)
     assert isinstance(err, NoConvergenceError)
-    assert str(err) == ("reference flow cannot reach tol 1.0e-06 by 2048 steps (h^4 law: 8192): gaps "
+    assert str(err) == ("reference flow cannot reach tol 1.0e-06 by 2048 steps (h^4 law: 4096): gaps "
                         f"{', '.join(f'{g:.3e}' for g in gaps[:-1])} up to 1024 steps")
-    assert gaps[-1] > 1e-6  # the level it skips would not have converged either
+    assert 2.0 * gaps[-1] / 15.0 > 1e-6  # the level it skips would not have been kept either
 
 
-def _replay(monkeypatch, gaps, tol, max_steps):
+def _replay(monkeypatch, gaps, tol, max_steps=1 << 17):
     """``reference_flow`` on a stand-in whose run with 16 * 2**k steps ends ``sum(gaps[:k])`` from the
-    16-step run: the batches it plans, and its result or error."""
+    16-step run, one level at a time: what :func:`_batches_of` reports."""
     ends = dict(zip([16 * 2**k for k in range(len(gaps) + 1)], np.cumsum([0.0] + gaps).tolist()))
     stand_in = types.SimpleNamespace(mesh_kind="sphere", velocity=None)
-    monkeypatch.setattr(flow, "_rk4", lambda ham, p, t, ns: np.array([[[ends[n], 0.0, 0.0]] for n in ns]))
+    monkeypatch.setattr(flow, "_rk4_levels", lambda ham, p, t, ns: ((i, np.array([[ends[n], 0.0, 0.0]]))
+                                                                      for i, n in enumerate(ns)))
     return _batches_of(monkeypatch, lambda: reference_flow(stand_in, 0.45, tol, np.zeros((1, 3)), max_steps))
 
 
@@ -446,12 +468,12 @@ _T04_GAPS = [0.535, 0.202, 0.481, 0.5, 0.328, 1.52e-2, 2.6e-4, 8.5e-6]
 @pytest.mark.parametrize(
     "gaps,tol,max_steps,batches",
     [
-        (_T04_GAPS, 3e-4, 2048, [[16, 32], [64, 128, 256], [512, 1024, 2048]]),
+        (_T04_GAPS, 3e-4, 2048, [[16, 32], [64, 128], [256, 512], [1024, 2048]]),
         (_T04_GAPS, 1e-5, 4096, [[16, 32], [64, 128, 256, 512], [1024, 2048, 4096]]),
         # At 256 steps one 10x drop: 32x in the one doubling left could not reach tol, 44x does.
-        ([0.5, 0.45, 0.4, 0.04, 9e-4], 1e-3, 512, [[16, 32], [64, 128, 256], [512]]),
+        ([0.5, 0.45, 0.4, 0.04, 9e-4], 1e-3, 512, [[16, 32], [64, 128], [256, 512]]),
         # At 512 steps 10x, then 40x: again 32x could not reach tol, 50x does.
-        ([0.5, 0.45, 0.4, 0.04, 1e-3, 2e-5], 3e-5, 1024, [[16, 32], [64, 128, 256, 512], [1024]]),
+        ([0.5, 0.45, 0.4, 0.04, 1e-3, 2e-5], 3e-5, 1024, [[16, 32], [64, 128, 256], [512, 1024]]),
     ],
     ids=["t04-2048", "t04-4096", "10x", "10x-40x"],
 )
@@ -459,9 +481,64 @@ def test_drops_outside_the_h4_range_do_not_stop_a_calibration(monkeypatch, gaps,
     """A doubling that shrinks the gap 8x or more can come before a larger drop, and so can one that
     shrinks it more than 32x: these calibrations converge on their last level and keep the batches
     the h^4 law plans."""
-    got, ref = _replay(monkeypatch, gaps, tol, max_steps)
-    assert got == batches
+    got, ran, ref = _replay(monkeypatch, gaps, tol, max_steps)
+    assert got == ran == batches
     assert (ref.nsteps, ref.error_estimate) == (max_steps, pytest.approx(gaps[int(math.log2(max_steps // 32))]))
+
+
+#: Replayed gaps of Yoshida 4 at t = 0.45 on the torus pair (24 probes of seed 5), levels 32 to 32768:
+#: 0.53 to 0.67 up to 2048 steps, 0.47 at 4096, then 17x, 24x and 19x down.
+_T045_GAPS = [0.615, 0.533, 0.642, 0.670, 0.536, 0.598, 0.620, 0.474, 2.76e-2, 1.16e-3, 6.25e-5]
+
+
+def test_a_hopeless_level_stops_the_loop_inside_its_batch(monkeypatch):
+    """At tol 1e-8 the last batch is planned up to the 131072-step budget.  Once the 16384-step level
+    leaves, the gap has shrunk 17x and 24x to 1.16e-3, which 32x per doubling left could not bring to
+    tol: the loop stops there, after 32 + 2048 + 16384 iterations of the 131072 planned."""
+    batches, ran, err = _replay(monkeypatch, _T045_GAPS, 1e-8)
+    assert batches == [[16, 32], [64, 128, 256, 512, 1024, 2048], [4096, 8192, 16384, 32768, 65536, 131072]]
+    assert ran == [[16, 32], [64, 128, 256, 512, 1024, 2048], [4096, 8192, 16384]]
+    assert sum(levels[-1] for levels in ran) == 18_464
+    assert isinstance(err, NoConvergenceError)
+    assert str(err) == ("reference flow cannot reach tol 1.0e-08 by 131072 steps (h^4 law: 262144): gaps "
+                        f"{', '.join(f'{g:.3e}' for g in _T045_GAPS[:-1])} up to 16384 steps")
+
+
+#: (surface, scheme, t) whose calibrations need more than 512 steps at every tol of the corpus below
+#: (2048 to 65536 steps at tol 1e-6 to 1e-9): left out, since the corpus keeps to 512 steps.
+_SLOW = {("torus", "yoshida-4", 0.4), ("torus", "yoshida-6", 0.2), ("torus", "yoshida-6", 0.4)}
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_levels_kept_on_the_richardson_estimate_meet_tol_against_the_exact_flow(surface, torus_pair, sphere_pair,
+                                                                               monkeypatch):
+    """Every level kept with estimate 2 gap / 15, its gap above tol, is within tol and within that
+    estimate of the generator's exact flow, ``compose_scheme``.  Each level is run once per scheme
+    and t and replayed for every tol: a level run alone is what a stacked run gives, bit for bit."""
+    f, g = torus_pair if surface == "torus" else sphere_pair
+    pts, levels, kept = default_probes(surface, 4, seed=5), flow._rk4_levels, []
+    for scheme, t in itertools.product([lie_trotter(), strang(), yoshida(4), yoshida(6)], (0.05, 0.2, 0.4)):
+        if (surface, scheme.label, t) in _SLOW:
+            continue
+        gen, exact, runs = CocycleGenerator(scheme, f, g), compose_scheme(scheme, f, g, t).apply(pts), {}
+
+        def replayed(ham, p, t, ns):
+            for i, n in enumerate(ns):
+                if n not in runs:
+                    runs[n] = next(levels(ham, p, t, [n]))[1]
+                yield i, runs[n]
+
+        monkeypatch.setattr(flow, "_rk4_levels", replayed)
+        for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+            try:
+                ref = reference_flow(gen, t, tol=tol, probes=pts, max_steps=512)
+            except NoConvergenceError:
+                continue
+            if np.max(point_distances(surface, runs[ref.nsteps], runs[ref.nsteps // 2])) > tol:
+                err = np.max(point_distances(surface, ref.endpoints, exact))
+                assert err <= tol and err <= ref.error_estimate, (scheme.label, t, tol, ref.nsteps)
+                kept.append((scheme.label, t, tol))
+    assert len(kept) >= 10 and len({label for label, _, _ in kept}) >= 3
 
 
 @pytest.mark.parametrize(
