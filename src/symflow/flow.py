@@ -38,7 +38,7 @@ from .errors import DegenerateInputError, InterpolationDominatesWarning, MeshMis
 from .errors import NotRecognizedError, OutOfRangeError, SymbolicRequiredError
 from .expr import Expression, compile_evaluator
 from .manifold import NORMS, Mesh, ScalarField, interpolate
-from .scheme import DEFAULT_T_GRID, SplittingScheme
+from .scheme import DEFAULT_T_GRID, SplittingScheme, _power_fit
 
 __all__ = [
     "NotRecognizedError",
@@ -574,6 +574,9 @@ def reference_flow(
     Wanner, *Solving ODEs I*, II.4).  One :func:`_rk4_levels` loop runs the first two levels,
     the next as many more as the h^4 law predicts for 2g/15, and so on; each level is checked
     as it leaves; the first kept or hopeless one stops the loop.  ``h`` gets ``s`` per row.
+    Near the rounding floor a gap within ``tol`` bounds no error: the Lie-Trotter generator of
+    0.3 sin 2 pi q and 0.2 cos 2 pi p on the 64x64 torus, t = 0.4, tol 1e-12, 12 probes of seed 5,
+    keeps 8192 steps with estimate 5.71e-13, yet lies 1.42e-12 from its exact flow (:func:`compose_scheme`).
 
     Raises
     ------
@@ -729,11 +732,7 @@ def remainder_ratio_sweep(
         rem = remainder_norm(scheme, f, g, t, norm=norm)
         rows.append({"t": t, "remainder": rem, "ratio": rem / (qn * t ** (generation - 1))})
     usable = [(r["t"], r["remainder"]) for r in rows if r["remainder"] > 1e-14]
-    exponent = None
-    if len(usable) >= 3:
-        log_t = np.log([u[0] for u in usable])
-        log_r = np.log([u[1] for u in usable])
-        exponent = float(np.polyfit(log_t, log_r, 1)[0])
+    exponent = _power_fit(*zip(*usable))[0] if len(usable) >= 3 else None
     kappa = max(r["ratio"] for r in rows)
     return RemainderSweep(generation, qn, rows, kappa, exponent)
 
@@ -858,8 +857,6 @@ def flow_equivalence_order(
         pts = [(r["t"], r[key]) for r in rows if r[key] > 100.0 * tol]
         if len(pts) < 3:
             raise NoConvergenceError(f"too few usable points to fit {key}")
-        log_t = np.log([p[0] for p in pts])
-        log_d = np.log([p[1] for p in pts])
-        return float(np.polyfit(log_t, log_d, 1)[0])
+        return _power_fit(*zip(*pts))[0]
 
     return EquivalenceOrders(fit("flow_distance"), fit("hamiltonian_distance"), rows)

@@ -327,6 +327,9 @@ NORMS = {"uniform": uniform_norm, "l1": l1_norm}
 # Interpolation
 # ---------------------------------------------------------------------------
 
+#: Nearest vertices whose triangles ``_locate_sphere`` tries before it gives up on a point.
+_LOCATE_NEIGHBOURS = 24
+
 
 def _interpolate_torus(f: ScalarField, pts: np.ndarray) -> np.ndarray:
     mesh: TorusGrid = f.mesh  # type: ignore[assignment]
@@ -347,7 +350,7 @@ def _interpolate_torus(f: ScalarField, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _locate_sphere(mesh: SphereTri, pts: np.ndarray, k_max: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def _locate_sphere(mesh: SphereTri, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial (gnomonic) point location: containing triangle and barycentrics."""
     n = pts.shape[0]
     tri_of = np.full(n, -1, dtype=np.int64)
@@ -356,7 +359,7 @@ def _locate_sphere(mesh: SphereTri, pts: np.ndarray, k_max: int = 24) -> tuple[n
     vert_tris = mesh.vertex_triangles
     pending = np.arange(n)
     k = 1
-    while pending.size and k <= k_max:
+    while pending.size and k <= _LOCATE_NEIGHBOURS:
         _, nearest = mesh.kdtree.query(pts[pending], k=k)
         if k == 1:
             nearest = nearest[:, None]

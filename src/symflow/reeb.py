@@ -268,50 +268,39 @@ def _contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> tuple[np.ndarray, n
     """Combine the two merge trees into the arcs of the level-set tree.
 
     Standard leaf-peeling merge: a node with no children left in one tree
-    and at most one in the other is pinched off along its pointer in the
-    first tree, and contracted out of the second.  Each tree keeps, per
-    node, the number of children left and the sum of their ids, which is
-    the only child when one is left.  The arcs do not depend on the order
-    of peeling.  Returns their endpoints oriented (peeled, kept): a tree
-    rooted at the node never peeled, as ``_place`` reads it.
+    (the join tree, 0, is tried before the split tree, 1) and at most one in
+    the other is pinched off along its pointer in the first tree, and
+    contracted out of the second: its parent there takes over its child.
+    Each tree keeps, per node, the number of children left and the sum of
+    their ids, which is the only child when one is left.  The arcs do not
+    depend on the order of peeling.  Returns their endpoints oriented
+    (peeled, kept): a tree rooted at the node never peeled, as ``_place``
+    reads it.
     """
     n = jt_down.size
-    down, up = jt_down.tolist(), st_up.tolist()
-
-    def children(ptr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        has = ptr >= 0
-        ids = np.bincount(ptr[has], weights=np.nonzero(has)[0], minlength=n)
-        return np.bincount(ptr[has], minlength=n), ids.astype(np.int64).tolist()
-
-    n_up, sum_up = children(jt_down)  # join-tree children lie above
-    n_dn, sum_dn = children(st_up)
-    leaf = (np.minimum(n_up, n_dn) == 0) & (np.maximum(n_up, n_dn) <= 1)
-    stack = np.nonzero(leaf)[0].tolist()
-    n_up, n_dn = n_up.tolist(), n_dn.tolist()
+    ptr = jt_down.tolist(), st_up.tolist()
+    kids = [np.bincount(p[p >= 0], minlength=n) for p in (jt_down, st_up)]
+    ids = [np.bincount(p[p >= 0], weights=np.flatnonzero(p >= 0), minlength=n).astype(np.int64).tolist()
+           for p in (jt_down, st_up)]
+    stack = np.flatnonzero((np.minimum(*kids) == 0) & (np.maximum(*kids) <= 1)).tolist()  # the leaves
+    kids = [k.tolist() for k in kids]
     arcs = []
     while stack and len(arcs) < n - 1:
         v = stack.pop()
-        if n_up[v] == 0 and n_dn[v] <= 1 and down[v] >= 0:
-            w, p, c = down[v], up[v], sum_dn[v]
-            n_up[w] -= 1
-            sum_up[w] -= v
-            if p >= 0:
-                n_dn[p] += n_dn[v] - 1
-                sum_dn[p] += c - v
-            if n_dn[v]:
-                up[c] = p
-        elif n_dn[v] == 0 and n_up[v] <= 1 and up[v] >= 0:
-            w, p, c = up[v], down[v], sum_up[v]
-            n_dn[w] -= 1
-            sum_dn[w] -= v
-            if p >= 0:
-                n_up[p] += n_up[v] - 1
-                sum_up[p] += c - v
-            if n_up[v]:
-                down[c] = p
+        for t, o in ((0, 1), (1, 0)):
+            if kids[t][v] == 0 and kids[o][v] <= 1 and ptr[t][v] >= 0:
+                break
         else:
             continue
-        down[v] = up[v] = -1  # v is out of both trees: never peel it again
+        w, p, c = ptr[t][v], ptr[o][v], ids[o][v]
+        kids[t][w] -= 1
+        ids[t][w] -= v
+        if p >= 0:
+            kids[o][p] += kids[o][v] - 1
+            ids[o][p] += c - v
+        if kids[o][v]:
+            ptr[o][c] = p
+        ptr[0][v] = ptr[1][v] = -1  # v is out of both trees: never peel it again
         arcs.append((v, w))
         stack.append(w)
         if p >= 0:

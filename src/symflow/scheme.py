@@ -63,10 +63,7 @@ class SplittingScheme:
 
     def stage_coefficients(self) -> list[float]:
         """Interleaved stage list [a1, b1, a2, b2, ...] without the trailing zero."""
-        out: list[float] = []
-        for a, b in zip(self.alphas, self.betas):
-            out.append(a)
-            out.append(b)
+        out = [c for pair in zip(self.alphas, self.betas) for c in pair]
         while out and out[-1] == 0.0:
             out.pop()
         return out
@@ -97,17 +94,15 @@ def strang() -> SplittingScheme:
     return SplittingScheme((0.5, 0.5), (1.0, 0.0), 2, "strang")
 
 
-def _triple_jump(stages: list[tuple[str, float]], order: int) -> list[tuple[str, float]]:
+def _triple_jump(coefs: list[float], order: int) -> list[float]:
+    """S(w1 t) S(w0 t) S(w1 t) of a stage list F, G, ..., F; the F stages where copies meet merge."""
     k = order // 2
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * k + 1)))
     w0 = 1.0 - 2.0 * w1
-    out: list[tuple[str, float]] = []
-    for w in (w1, w0, w1):
-        for gen, c in stages:
-            if out and out[-1][0] == gen:
-                out[-1] = (gen, out[-1][1] + c * w)
-            else:
-                out.append((gen, c * w))
+    out = [c * w1 for c in coefs]
+    for w in (w0, w1):
+        out[-1] += coefs[0] * w
+        out += [c * w for c in coefs[1:]]
     return out
 
 
@@ -117,27 +112,25 @@ def yoshida(order: int) -> SplittingScheme:
         raise OutOfRangeError(f"order must be an even integer in [2, {MAX_ORDER}], got {order}")
     if order % 2:
         raise OddOrderError(f"order must be even, got {order}")
-    stages: list[tuple[str, float]] = [("A", 0.5), ("B", 1.0), ("A", 0.5)]
-    current = 2
-    while current < order:
-        stages = _triple_jump(stages, current)
-        current += 2
-    alphas: list[float] = []
-    betas: list[float] = []
-    for gen, c in stages:
-        if gen == "A":
-            alphas.append(c)
-        else:
-            betas.append(c)
-    while len(betas) < len(alphas):
-        betas.append(0.0)
+    coefs = [0.5, 1.0, 0.5]
+    for current in range(2, order, 2):
+        coefs = _triple_jump(coefs, current)
     label = "strang" if order == 2 else f"yoshida-{order}"
-    return SplittingScheme(tuple(alphas), tuple(betas), order, label)
+    return SplittingScheme(tuple(coefs[0::2]), tuple(coefs[1::2]) + (0.0,), order, label)
 
 
 # ---------------------------------------------------------------------------
 # Empirical order validation
 # ---------------------------------------------------------------------------
+
+
+def _power_fit(ts, values) -> tuple[float, float, float]:
+    """Least-squares line through (log t, log value): slope, intercept and r^2."""
+    log_t, log_v = np.log(ts), np.log(values)
+    slope, intercept = np.polyfit(log_t, log_v, 1)
+    ss_res = float(np.sum((log_v - (slope * log_t + intercept)) ** 2))
+    ss_tot = float(np.sum((log_v - log_v.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 @dataclass
@@ -220,13 +213,5 @@ def validate_order(
         raise ReferenceToleranceExceededError(
             f"only {len(used_t)} usable sweep points; at least 3 needed for a slope fit"
         )
-    log_t = np.log(np.asarray(used_t))
-    log_e = np.log(np.asarray(used_err))
-    slope, intercept = np.polyfit(log_t, log_e, 1)
-    pred = slope * log_t + intercept
-    ss_res = float(np.sum((log_e - pred) ** 2))
-    ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
-    fit.slope = float(slope)
-    fit.intercept = float(intercept)
-    fit.r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    fit.slope, fit.intercept, fit.r_squared = _power_fit(used_t, used_err)
     return fit

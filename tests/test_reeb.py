@@ -15,6 +15,7 @@ from symflow.manifold import ScalarField, build_sphere, build_torus, sample, uni
 from symflow.reeb import (
     _DENSITY_ROUNDING,
     _check_placement,
+    _contour_arcs,
     _deposit_mass,
     _merge_trees,
     _segmented_cumsum,
@@ -535,6 +536,70 @@ def test_merge_trees_match_the_component_oracle(sphere3, ties):
                 held = np.nonzero(keep)[0]
                 assert keep[end[held]].all()
                 np.testing.assert_array_equal(oracle[end[held]], oracle[held])
+
+
+def _two_branch_contour_arcs(jt_down: np.ndarray, st_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf-peeling merge as it was written with one branch per tree, kept
+    verbatim as the reference for the single peel step of ``_contour_arcs``."""
+    n = jt_down.size
+    down, up = jt_down.tolist(), st_up.tolist()
+
+    def children(ptr: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        has = ptr >= 0
+        ids = np.bincount(ptr[has], weights=np.nonzero(has)[0], minlength=n)
+        return np.bincount(ptr[has], minlength=n), ids.astype(np.int64).tolist()
+
+    n_up, sum_up = children(jt_down)  # join-tree children lie above
+    n_dn, sum_dn = children(st_up)
+    leaf = (np.minimum(n_up, n_dn) == 0) & (np.maximum(n_up, n_dn) <= 1)
+    stack = np.nonzero(leaf)[0].tolist()
+    n_up, n_dn = n_up.tolist(), n_dn.tolist()
+    arcs = []
+    while stack and len(arcs) < n - 1:
+        v = stack.pop()
+        if n_up[v] == 0 and n_dn[v] <= 1 and down[v] >= 0:
+            w, p, c = down[v], up[v], sum_dn[v]
+            n_up[w] -= 1
+            sum_up[w] -= v
+            if p >= 0:
+                n_dn[p] += n_dn[v] - 1
+                sum_dn[p] += c - v
+            if n_dn[v]:
+                up[c] = p
+        elif n_dn[v] == 0 and n_up[v] <= 1 and up[v] >= 0:
+            w, p, c = up[v], down[v], sum_up[v]
+            n_dn[w] -= 1
+            sum_dn[w] -= v
+            if p >= 0:
+                n_up[p] += n_up[v] - 1
+                sum_up[p] += c - v
+            if n_up[v]:
+                down[c] = p
+        else:
+            continue
+        down[v] = up[v] = -1  # v is out of both trees: never peel it again
+        arcs.append((v, w))
+        stack.append(w)
+        if p >= 0:
+            stack.append(p)
+    if len(arcs) != n - 1:
+        raise InvariantViolationError("merge-tree combination did not produce a tree")
+    return np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+
+
+def test_one_peel_step_matches_the_two_branch_merge(sphere3):
+    """The oracle test's fields, smooth and rounded, and a tie-heavy level-5 field rounded to one decimal."""
+    rng = np.random.default_rng(17)
+    fields = [sample(sphere3, random_quadratic(rng)).values for _ in range(2)]
+    fields += [np.round(3.0 * vals) for vals in fields]
+    level5 = build_sphere(5)
+    fields.append(np.round(sample(level5, random_quadratic(np.random.default_rng(5))).values, 1))
+    for vals in fields:
+        mesh = sphere3 if vals.size == sphere3.n_points else level5
+        rank = _ranks(vals)
+        trees = _merge_trees(_corners(mesh), np.argsort(vals, kind="stable"), rank)[3]
+        new, old = _contour_arcs(*trees), _two_branch_contour_arcs(*trees)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
 def _reference_merge_tree(indptr, indices, order):

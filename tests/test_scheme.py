@@ -25,6 +25,39 @@ from symflow.scheme import (
 W1_4 = 1.3512071919596578
 W0_4 = -1.7024143839193155
 
+# yoshida(order)'s alphas and betas as float.hex, taken from the stage-labelled
+# recursion that the plain coefficient list replaced: the two must agree bit for bit.
+YOSHIDA_HEX = {
+    4: (
+        "0x1.59e8b6eb96339p-1 -0x1.67a2dbae58ce4p-3 -0x1.67a2dbae58ce4p-3 0x1.59e8b6eb96339p-1",
+        "0x1.59e8b6eb96339p+0 -0x1.b3d16dd72c672p+0 0x1.59e8b6eb96339p+0 0x0.0p+0",
+    ),
+    6: (
+        "0x1.96545f73f6871p-1 -0x1.a674568dbcc89p-3 -0x1.a674568dbcc89p-3 -0x1.e35d4443029c8p-4 "
+        "0x1.e545d16d20c2fp-3 0x1.e545d16d20c2fp-3 -0x1.e35d4443029c8p-4 -0x1.a674568dbcc89p-3 "
+        "-0x1.a674568dbcc89p-3 0x1.96545f73f6871p-1",
+        "0x1.96545f73f6871p+0 -0x1.fff1751765b94p+0 0x1.96545f73f6871p+0 -0x1.d2c007fc56daap+0 "
+        "0x1.2608be2bcf85bp+1 -0x1.d2c007fc56daap+0 0x1.96545f73f6871p+0 -0x1.fff1751765b94p+0 "
+        "0x1.96545f73f6871p+0 0x0.0p+0",
+    ),
+    8: (
+        "0x1.c589c3f9eaa64p-1 -0x1.d789547494b5ap-3 -0x1.d789547494b5ap-3 -0x1.0dc2f20331715p-3 "
+        "0x1.0ed39a0bdb0abp-2 0x1.0ed39a0bdb0abp-2 -0x1.0dc2f20331715p-3 -0x1.d789547494b5ap-3 "
+        "-0x1.d789547494b5ap-3 -0x1.79ab242fa0f90p-4 0x1.044f292db6515p-2 0x1.044f292db6515p-2 "
+        "0x1.29d741e4e1945p-3 -0x1.2b044b6125b3ep-2 -0x1.2b044b6125b3ep-2 0x1.29d741e4e1945p-3 "
+        "0x1.044f292db6515p-2 0x1.044f292db6515p-2 -0x1.79ab242fa0f90p-4 -0x1.d789547494b5ap-3 "
+        "-0x1.d789547494b5ap-3 -0x1.0dc2f20331715p-3 0x1.0ed39a0bdb0abp-2 0x1.0ed39a0bdb0abp-2 "
+        "-0x1.0dc2f20331715p-3 -0x1.d789547494b5ap-3 -0x1.d789547494b5ap-3 0x1.c589c3f9eaa64p-1",
+        "0x1.c589c3f9eaa64p+0 -0x1.1db60c8b87e9dp+1 0x1.c589c3f9eaa64p+0 -0x1.047d403d5b814p+1 "
+        "0x1.483226c05243fp+1 -0x1.047d403d5b814p+1 0x1.c589c3f9eaa64p+0 -0x1.1db60c8b87e9dp+1 "
+        "0x1.c589c3f9eaa64p+0 -0x1.f4bf287fdec56p+0 0x1.3b735e8b5cf71p+1 -0x1.f4bf287fdec56p+0 "
+        "0x1.1f9a7c7c8b954p+1 -0x1.6a5b8f54d5024p+1 0x1.1f9a7c7c8b954p+1 -0x1.f4bf287fdec56p+0 "
+        "0x1.3b735e8b5cf71p+1 -0x1.f4bf287fdec56p+0 0x1.c589c3f9eaa64p+0 -0x1.1db60c8b87e9dp+1 "
+        "0x1.c589c3f9eaa64p+0 -0x1.047d403d5b814p+1 0x1.483226c05243fp+1 -0x1.047d403d5b814p+1 "
+        "0x1.c589c3f9eaa64p+0 -0x1.1db60c8b87e9dp+1 0x1.c589c3f9eaa64p+0 0x0.0p+0",
+    ),
+}
+
 
 def test_lie_trotter_coefficients():
     s = lie_trotter()
@@ -64,6 +97,14 @@ def test_yoshida4_frozen_coefficients():
     assert np.allclose(s.betas, expected_betas, atol=1e-15)
     assert s.nominal_order == 4
     assert s.label == "yoshida-4"
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_yoshida_coefficients_are_pinned_bit_for_bit(order):
+    s = yoshida(order)
+    alphas, betas = YOSHIDA_HEX[order]
+    assert [c.hex() for c in s.alphas] == alphas.split()
+    assert [c.hex() for c in s.betas] == betas.split()
 
 
 @pytest.mark.parametrize("order,count", [(2, 3), (4, 7), (6, 19), (8, 55)])
