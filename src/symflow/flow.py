@@ -474,16 +474,46 @@ class CocycleGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Reference integration (classical one-step order 4 with step doubling)
+# Reference integration (an explicit Runge-Kutta tableau of order 8 with step doubling)
 # ---------------------------------------------------------------------------
 
+#: The 12-stage order-8 main formula of DOP853 (Prince & Dormand, J. Comput. Appl. Math. 7, 1981; Hairer,
+#: Norsett & Wanner, *Solving ODEs I*, II.5 and II.10) as ``float.hex``: the nodes c, the rows of A below
+#: the diagonal (row i holds i entries), the weights b.
+_ORDER, _TABLEAU = 8, [float.fromhex(x) for x in """
+0 0x1.aee6838dae63ap-5 0x1.432ce2aa42cacp-4 0x1.e4c353ff64302p-4 0x1.2068c499c08d9p-2 0x1.5555555555555p-2 0x1p-2
+0x1.3b13b13b13b14p-2 0x1.4d74d74d74d75p-1 0x1.3333333333333p-1 0x1.b6db6db6db6dbp-1 0x1p+0
+0x1.aee6838dae63ap-5 0x1.432ce2aa42cacp-6 0x1.e4c353ff64302p-5 0x1.e4c353ff64302p-6 0 0x1.6b927eff8b241p-4
+0x1.ee50d7ecde9fap-3 0 -0x1.c4e3ab5ad1507p-1 0x1.d983d7ac79ef5p-1 0x1.2f684bda12f68p-5 0 0 0x1.5ddb63bdb6d36p-3
+0x1.00f533f66f19ap-3 0x1.3p-5 0 0 0x1.5cad30f3347edp-3 0x1.ed4b3c332e04dp-5 -0x1.2p-6 0x1.2fdb8fee78792p-5 0 0
+0x1.5cf23f6595d72p-3 0x1.b758640dea698p-4 -0x1.f5fcc20fcd32fp-7 0x1.0f1d92efb0b71p-7 0x1.3f8b78b985813p-1 0 0
+-0x1.ae31bacc6bc8ap+1 -0x1.bc873f08e11f9p-1 0x1.b9793d88d1855p+4 0x1.42770f892ad69p+4 -0x1.5beb4865c42f9p+5
+0x1.e9205e321b655p-2 0 0 -0x1.3e7a8a34bd27fp+1 -0x1.2e3a9968c93c8p-1 0x1.53ae4a6d655eep+4 0x1.e8ef7b5f258b8p+3
+-0x1.0a4e418d711b9p+5 -0x1.4d1b3d9b4a876p-6 -0x1.dfd121f1d399bp-1 0 0 0x1.4bed869fb0b9dp+2 0x1.1768702792ea9p+0
+-0x1.04cb0e2110c1cp+3 -0x1.2852305e975a8p+4 0x1.6bd4f06cb863ap+4 0x1.3f2e777cf109dp+1 -0x1.85fc60d2b572cp+1
+0x1.22fbd3b09fcdcp+1 0 0 -0x1.511a963cafe55p+3 -0x1.001c935ac72acp+1 -0x1.1f57c8eff3006p+4 0x1.bf2ea18b58a01p+4
+-0x1.6df3a7d1cec13p+1 -0x1.1bee71a9f33a9p+3 0x1.8b89c42c81861p+3 0x1.496ac6253e202p-1
+0x1.bcc6368d1177cp-5 0 0 0 0 0x1.1cd1ed2ad5ae2p+2 0x1.e43a845d5ab9fp+0 -0x1.7346ecf96af43p+2 0x1.3ea1df2f0eb98p-2
+-0x1.37a028f43b002p-3 0x1.9c657697fe72dp-3 0x1.6e44f50ab6bc2p-5
+""".split()]
+_C, _B = _TABLEAU[:12], _TABLEAU[-12:]
+_A = [_TABLEAU[12 + i * (i - 1) // 2:12 + i * (i + 1) // 2] for i in range(12)]
+_MIN_STEPS = 8  # steps of the first doubling level
 
-def _rk4_levels(ham, points: np.ndarray, t, nsteps):
-    """Classical RK4 over ``[0, t]`` in ``nsteps`` steps; sequences of ``t``, ``nsteps`` stack groups.
+
+def _weighted(coefs, ks: list) -> np.ndarray:
+    """The sum of ``coef * k`` over the nonzero ``coefs``, elementwise and left to right."""
+    terms = [coef * k for coef, k in zip(coefs, ks) if coef]
+    return sum(terms[1:], terms[0])
+
+
+def _rk_levels(ham, points: np.ndarray, t, nsteps):
+    """The tableau's steps over ``[0, t]``, ``nsteps`` of them; sequences of ``t``, ``nsteps`` stack groups.
 
     One loop runs every group on all of ``points``, each row with its own step and stage time
-    ``s`` (the float 0.0 at the first k1), so a row rounds as a run on its own would.  Yields
-    (flat group index, endpoints) as each group leaves, fewest steps first, until the caller stops.
+    ``s`` (the float 0.0 at the first stage).  Stages combine in elementwise operations in a fixed
+    order, so a row rounds as a run on its own would.  Yields (flat group index, endpoints) as each
+    group leaves, fewest steps first, until the caller stops.
     """
     start = np.array(points, dtype=float)
     ts, ns = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(nsteps))
@@ -493,27 +523,25 @@ def _rk4_levels(ham, points: np.ndarray, t, nsteps):
     sphere, torus = ham.mesh_kind == "sphere", ham.mesh_kind == "torus"
     s, done = 0.0, 0
     for n, _, group in groups:
-        col = h[:, None]
+        col, offsets = h[:, None], [c * h for c in _C[1:]]
         for _ in range(done, n):
-            mid, end = s + 0.5 * h, s + h
-            k1 = ham.velocity(pts, s)
-            k2 = ham.velocity(pts + 0.5 * col * k1, mid)
-            k3 = ham.velocity(pts + 0.5 * col * k2, mid)
-            k4 = ham.velocity(pts + col * k3, end)
-            pts = pts + (col / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            ks = [ham.velocity(pts, s)]
+            for row, off in zip(_A[1:], offsets):
+                ks.append(ham.velocity(pts + col * _weighted(row, ks), s + off))
+            pts = pts + col * _weighted(_B, ks)
             if sphere:
                 pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            s = end
+            s = s + h
         done = max(done, n)
         ends, pts, h = pts[:m], pts[m:], h[m:]
         s = s[m:] if np.ndim(s) else s
         yield group, ends % 1.0 if torus else ends
 
 
-def _rk4(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
-    """The endpoints of every group of :func:`_rk4_levels`, shaped as the broadcast ``t``, ``nsteps``."""
+def _rk(ham, points: np.ndarray, t, nsteps) -> np.ndarray:
+    """The endpoints of every group of :func:`_rk_levels`, shaped as the broadcast ``t``, ``nsteps``."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(nsteps)) + np.shape(points)
-    levels = sorted(_rk4_levels(ham, points, t, nsteps), key=lambda level: level[0])
+    levels = sorted(_rk_levels(ham, points, t, nsteps), key=lambda level: level[0])
     return np.array([ends for _, ends in levels]).reshape(shape)
 
 
@@ -540,13 +568,10 @@ class ReferenceFlow:
         if np.array_equal(pts, self.probes):
             out = self.endpoints.copy()
         else:
-            out = _rk4(self.ham, pts, self.t, self.nsteps)
+            out = _rk(self.ham, pts, self.t, self.nsteps)
         if np.ndim(points) == 1:
             return out[0]
         return out
-
-
-_MIN_STEPS = 16
 
 
 def _coerce_hamiltonian(h) -> object:
@@ -566,49 +591,49 @@ def reference_flow(
 ) -> ReferenceFlow:
     """Integrate the Hamiltonian vector field with step doubling.
 
-    RK4 runs with 16 steps, twice as many, and so on, on a probe set.  A run is kept, with a
-    copy of the probes and its own endpoints, once its gap g to the one before is within
-    ``tol`` (error estimate g), or once the last two doublings each shrank the gap 8x to 32x,
-    2g/15 is within ``tol`` and g/15 is at least the rounding floor 1e-12 (error estimate
-    2g/15: in that h^4 range its error is about g/15, Richardson's estimate; Hairer, Norsett &
-    Wanner, *Solving ODEs I*, II.4).  One :func:`_rk4_levels` loop runs the first two levels,
-    the next as many more as the h^4 law predicts for 2g/15, and so on; each level is checked
-    as it leaves; the first kept or hopeless one stops the loop.  ``h`` gets ``s`` per row.
-    Near the rounding floor a gap within ``tol`` bounds no error: the Lie-Trotter generator of
-    0.3 sin 2 pi q and 0.2 cos 2 pi p on the 64x64 torus, t = 0.4, tol 1e-12, 12 probes of seed 5,
-    keeps 8192 steps with estimate 5.71e-13, yet lies 1.42e-12 from its exact flow (:func:`compose_scheme`).
+    The tableau of order p = 8 runs with 8 steps, twice as many, and so on, on a probe set.  A
+    run is kept, with a copy of the probes and its own endpoints, once its gap g to the one before
+    is within ``tol`` (error estimate g), or once the last two doublings each shrank the gap
+    2^(p-1)x to 2^(p+1)x, 2g/(2^p - 1) is within ``tol`` and g/(2^p - 1) is at least the rounding
+    floor 1e-12 (error estimate 2g/(2^p - 1): in that h^p range its error is about g/(2^p - 1),
+    Richardson's estimate; Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  One
+    :func:`_rk_levels` loop runs the first two levels, the next as many more as the h^p law
+    predicts for 2g/(2^p - 1), and so on; each level is checked as it leaves; the first kept or
+    hopeless one stops the loop.  ``h`` gets ``s`` per row.
 
     Raises
     ------
     NoConvergenceError
         If no run is kept within the step budget, or if, once the last two doublings each
-        shrank the gap 8x to 32x, even 32x per doubling left could not bring it within
-        ``tol``: then at once.
+        shrank the gap 2^(p-1)x to 2^(p+1)x, even 2^(p+1)x per doubling left could not bring it
+        within ``tol``: then at once.
     """
     ham = _coerce_hamiltonian(h)
     if probes is None:
         probes = default_probes(ham.mesh_kind, n=48, seed=777)
     probes = np.array(probes, dtype=float)
+    drop = 2.0**_ORDER  # the gap's shrink per doubling in the h^p range
+    low, high = drop / 2, 2 * drop
     batch, prev, gaps = [_MIN_STEPS, 2 * _MIN_STEPS], None, []
     while True:
-        for n, (_, cur) in zip(batch, _rk4_levels(ham, probes, t, batch)):  # a batch leaves in its order
+        for n, (_, cur) in zip(batch, _rk_levels(ham, probes, t, batch)):  # a batch leaves in its order
             if prev is not None:
                 gaps.append(gap := float(np.max(point_distances(ham.mesh_kind, cur, prev))))
-                # The h^4 range, 16x per doubling, shows in two ratios in a row: one 21x drop can be
-                # followed by a 58x one on the way out of the pre-asymptotic range.
-                in_range = len(gaps) > 2 and all(8.0 * b <= a <= 32.0 * b for a, b in zip(gaps[-3:], gaps[-2:]))
-                est = 2.0 * gap / 15.0 if gap > tol and in_range and gap / 15.0 >= 1e-12 else gap
+                # The h^p range shows in two ratios in a row: on the way out of the pre-asymptotic
+                # range an 18x drop can be followed by a 483x one.
+                in_range = len(gaps) > 2 and all(low * b <= a <= high * b for a, b in zip(gaps[-3:], gaps[-2:]))
+                est = 2.0 * gap / (drop - 1) if gap > tol and in_range and gap / (drop - 1) >= 1e-12 else gap
                 if est <= tol:
                     return ReferenceFlow(ham, t, n, ham.mesh_kind, est, probes, cur)
                 if n >= max_steps:
                     raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
-                aim = 2.0 * gap / (15.0 * tol) if tol > 0.0 else math.inf
-                more = max(1, math.ceil(math.log(aim, 16))) if math.isfinite(aim) else 1
+                aim = 2.0 * gap / ((drop - 1) * tol) if tol > 0.0 else math.inf
+                more = max(1, math.ceil(math.log(aim, drop))) if math.isfinite(aim) else 1
                 reach = [n * 2**j for j in range(1, 64) if n * 2 ** (j - 1) < max_steps]
-                if in_range and 0.0 < tol * 32.0 ** len(reach) < gap:  # 32x: beyond h^4
-                    raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 "
-                                             f"law: {n * 2**more}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to "
-                                             f"{n} steps")
+                if in_range and 0.0 < tol * high ** len(reach) < gap:  # beyond h^p
+                    raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps "
+                                             f"(h^{_ORDER} law: {n * 2**more}): gaps "
+                                             f"{', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
             prev = cur
         batch = reach[:more]
 
@@ -630,7 +655,7 @@ def reference_endpoints(
     ref = reference_flow(ham, t_max, tol=tol, probes=probes)
     rest = [t for t in t_list if t != t_max]
     nsteps = [max(_MIN_STEPS, math.ceil(ref.nsteps * t / t_max)) for t in rest]
-    ends = dict(zip(rest, _rk4(ham, probes, rest, nsteps)))
+    ends = dict(zip(rest, _rk(ham, probes, rest, nsteps)))
     ends[t_max] = ref.apply(probes)
     return {t: (ends[t], max(ref.error_estimate * (t / t_max), 1e-15)) for t in t_list}
 

@@ -247,6 +247,38 @@ def test_reference_energy_drift(sphere):
     assert drift < 1e-9
 
 
+def test_the_tableau_is_the_dop853_main_formula_bit_for_bit():
+    """The transcribed ``float.hex`` coefficients are scipy's, read here and nowhere in ``symflow``."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    hexes = lambda values: [float(v).hex() for v in values]
+    assert (flow._ORDER, dop.N_STAGES, len(flow._C)) == (8, 12, 12)
+    assert hexes(flow._C) == hexes(dop.C[:12])
+    assert [hexes(row) for row in flow._A] == [hexes(dop.A[i, :i]) for i in range(12)]
+    assert not dop.A[:12, :12][np.triu_indices(12)].any()
+    assert hexes(flow._B) == hexes(dop.B)
+
+
+def test_the_tableau_loop_has_order_8(sphere):
+    """On an exact rotation each doubling from 4 steps shrinks the error 2^8x, within 2^0.2."""
+    h = sample(sphere, "0.3*x + 0.1*y - 0.2*z")
+    pts = default_probes("sphere", 8, seed=3)
+    exact = exact_flow(h, 1.0).apply(pts)
+    ends = flow._rk(StaticHamiltonian(h), pts, 1.0, [4, 8, 16, 32])
+    errs = [np.max(point_distances("sphere", e, exact)) for e in ends]
+    assert all(2**7.8 < a / b < 2**8.2 for a, b in zip(errs, errs[1:])), errs
+
+
+def test_a_gap_near_the_rounding_floor_keeps_a_level_within_its_estimate(torus_pair):
+    """Lie-Trotter at t = 0.4, tol 1e-12 (12 probes of seed 5): order 4 kept 8192 steps with estimate
+    5.71e-13 but was 1.42e-12 from the exact flow; at order 8 a few steps keep rounding small."""
+    gen = CocycleGenerator(lie_trotter(), *torus_pair)
+    pts = default_probes("torus", 12, seed=5)
+    ref = reference_flow(gen, 0.4, tol=1e-12, probes=pts)
+    err = np.max(point_distances("torus", ref.endpoints, compose_scheme(lie_trotter(), *torus_pair, 0.4).apply(pts)))
+    assert err <= ref.error_estimate <= 1e-12
+
+
 def test_reference_no_convergence(sphere):
     h = sample(sphere, "x*y + 0.5*z^2")
     with pytest.raises(NoConvergenceError):
@@ -263,8 +295,8 @@ def calibrated(torus_pair):
 
 def test_apply_on_the_calibration_probes_returns_the_kept_run(calibrated, monkeypatch):
     ref, pts = calibrated
-    fresh = flow._rk4(ref.ham, pts, ref.t, ref.nsteps)
-    monkeypatch.setattr(flow, "_rk4", lambda *a: pytest.fail("integrated the calibration probes again"))
+    fresh = flow._rk(ref.ham, pts, ref.t, ref.nsteps)
+    monkeypatch.setattr(flow, "_rk", lambda *a: pytest.fail("integrated the calibration probes again"))
     ends = ref.apply(pts.copy())
     assert np.array_equal(ends, fresh)
     ends[:] = 0.0
@@ -274,14 +306,14 @@ def test_apply_on_the_calibration_probes_returns_the_kept_run(calibrated, monkey
 def test_apply_on_other_points_integrates(calibrated):
     ref, pts = calibrated
     for other in (pts[:5], pts[::-1], default_probes("torus", 12, seed=18)):
-        assert np.array_equal(ref.apply(other), flow._rk4(ref.ham, other, ref.t, ref.nsteps))
+        assert np.array_equal(ref.apply(other), flow._rk(ref.ham, other, ref.t, ref.nsteps))
 
 
 def test_apply_on_one_point_returns_one_point(calibrated):
     ref, pts = calibrated
     one = ref.apply(pts[3])
     assert one.shape == (2,)
-    assert np.array_equal(one, flow._rk4(ref.ham, pts[3:4], ref.t, ref.nsteps)[0])
+    assert np.array_equal(one, flow._rk(ref.ham, pts[3:4], ref.t, ref.nsteps)[0])
     single = reference_flow(ref.ham, ref.t, tol=1e-9, probes=pts[3:4])
     assert np.array_equal(single.apply(pts[3]), single.endpoints[0])
 
@@ -293,7 +325,7 @@ def test_probes_changed_after_calibration_are_integrated(torus_pair):
     kept = ref.apply(pts)
     pts[0] = (0.25, 0.75)
     moved = ref.apply(pts)
-    assert np.array_equal(moved, flow._rk4(gen, pts, 0.2, ref.nsteps))
+    assert np.array_equal(moved, flow._rk(gen, pts, 0.2, ref.nsteps))
     assert not np.array_equal(moved[0], kept[0])
     assert np.array_equal(moved[1:], kept[1:])
 
@@ -303,9 +335,9 @@ def test_reference_endpoints_reuse_the_calibration_at_the_largest_t(torus_pair):
     pts = default_probes("torus", 8, seed=20)
     ends = reference_endpoints(f + g, [0.05, 0.1], pts, tol=1e-10)
     ref = reference_flow(StaticHamiltonian(f + g), 0.1, tol=1e-10, probes=pts)
-    assert np.array_equal(ends[0.1][0], flow._rk4(ref.ham, pts, 0.1, ref.nsteps))
-    half = max(16, math.ceil(ref.nsteps * 0.05 / 0.1))
-    assert np.array_equal(ends[0.05][0], flow._rk4(ref.ham, pts, 0.05, half))
+    assert np.array_equal(ends[0.1][0], flow._rk(ref.ham, pts, 0.1, ref.nsteps))
+    half = max(flow._MIN_STEPS, math.ceil(ref.nsteps * 0.05 / 0.1))
+    assert np.array_equal(ends[0.05][0], flow._rk(ref.ham, pts, 0.05, half))
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +345,27 @@ def test_reference_endpoints_reuse_the_calibration_at_the_largest_t(torus_pair):
 # ---------------------------------------------------------------------------
 
 
-def _sequential_doubling(ham, t, tol, probes, min_steps=16, max_steps=1 << 17):
-    """Test-only reference for ``reference_flow``: one ``_rk4`` run per doubling, in turn, each kept or
-    refused by the stop rule written out anew."""
-    n, gaps = min_steps, []
-    prev = flow._rk4(ham, probes, t, n)
+def _sequential_doubling(ham, t, tol, probes, max_steps=1 << 17):
+    """Test-only reference for ``reference_flow``: one ``_rk`` run per doubling, in turn, each kept or
+    refused by the stop rule written out anew for the tableau's order p."""
+    p, n, gaps = flow._ORDER, flow._MIN_STEPS, []
+    prev = flow._rk(ham, probes, t, n)
     while True:
         n *= 2
-        cur = flow._rk4(ham, probes, t, n)
+        cur = flow._rk(ham, probes, t, n)
         gaps.append(gap := float(np.max(point_distances(ham.mesh_kind, cur, prev))))
         if gap <= tol:
             return n, gap, cur
-        h4 = len(gaps) >= 3 and 8.0 * gaps[-2] <= gaps[-3] <= 32.0 * gaps[-2] and 8.0 * gap <= gaps[-2] <= 32.0 * gap
-        if h4 and gap / 15.0 >= 1e-12 and 2.0 * gap / 15.0 <= tol:  # Richardson: level n is about gap / 15 off
-            return n, 2.0 * gap / 15.0, cur
+        hp = len(gaps) >= 3 and all(2.0 ** (p - 1) * b <= a <= 2.0 ** (p + 1) * b
+                                    for a, b in ((gaps[-3], gaps[-2]), (gaps[-2], gap)))
+        if hp and gap / (2.0**p - 1) >= 1e-12 and 2.0 * gap / (2.0**p - 1) <= tol:  # Richardson
+            return n, 2.0 * gap / (2.0**p - 1), cur
         if n >= max_steps:
             raise NoConvergenceError(f"reference flow stuck at gap {gap:.3e} with {n} steps (tol {tol:.1e})")
         left = sum(1 for k in range(64) if n << k < max_steps)
-        if h4 and tol * 32.0**left < gap:
-            law = n * 2 ** max(1, math.ceil(math.log(2.0 * gap / (15.0 * tol), 16)))
-            raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^4 law: "
+        if hp and tol * 2.0 ** ((p + 1) * left) < gap:
+            law = n * 2 ** max(1, math.ceil(math.log(2.0 * gap / ((2.0**p - 1) * tol), 2.0**p)))
+            raise NoConvergenceError(f"reference flow cannot reach tol {tol:.1e} by {max_steps} steps (h^{p} law: "
                                      f"{law}): gaps {', '.join(f'{g:.3e}' for g in gaps)} up to {n} steps")
         prev = cur
 
@@ -369,6 +402,12 @@ def _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair):
         ("torus-static", 0.2, 1e-11),
         ("sphere-static", 0.3, 1e-10),
         ("sphere-path", 0.05, 1e-12),
+        # Kept on 2 gap / 255, but sphere-static on its gap: a 718x drop, above the h^8 range, came first.
+        ("torus-lie-trotter", 1.0, 1e-9),
+        ("torus-strang", 0.8, 1e-9),
+        ("sphere-path", 1.5, 2e-9),
+        ("sphere-static", 1.5, 3e-10),
+        ("torus-static", 1.5, 1e-9),
     ],
 )
 def test_calibration_matches_the_sequential_doubling(kind, t, tol, torus_pair, sphere_pair, sphere, path_pair):
@@ -381,17 +420,18 @@ def test_calibration_matches_the_sequential_doubling(kind, t, tol, torus_pair, s
 
 
 def test_an_overshooting_prediction_keeps_the_first_converged_level(torus_pair, monkeypatch):
-    """Yoshida 4 at tol 1.2e-9: the h^4 law asks for 512 steps; at 256 the gap has shrunk 17x twice
-    and 2 gap / 15 is 1.15e-9, so doubling stops there and the 512-step level is not run."""
-    gen = CocycleGenerator(yoshida(4), *torus_pair)
-    pts = default_probes("torus", 24, seed=5)
-    batches, ran, ref = _batches_of(monkeypatch, lambda: reference_flow(gen, 0.2, tol=1.2e-9, probes=pts))
-    assert batches == [[16, 32], [64, 128, 256, 512]]
-    assert ran == [[16, 32], [64, 128, 256]]
-    nsteps, estimate, ends = _sequential_doubling(gen, 0.2, 1.2e-9, pts)
-    gap = _doubling_gaps(gen, 0.2, pts, 256)[-1]
-    assert (ref.nsteps, ref.error_estimate) == (nsteps, estimate) == (256, 2.0 * gap / 15.0)
-    assert gap > 1.2e-9
+    """The static torus pair at t = 1.5, tol 2e-10: from the 16-step gap the h^8 law asks for 128
+    steps; at 64 the gap has shrunk more than 256x twice and 2 gap / 255 is 1.3e-10, so doubling
+    stops there and the 128-step level is not run."""
+    ham = StaticHamiltonian(torus_pair[0] + torus_pair[1])
+    pts = default_probes("torus", 12, seed=22)
+    batches, ran, ref = _batches_of(monkeypatch, lambda: reference_flow(ham, 1.5, tol=2e-10, probes=pts))
+    assert batches == [[8, 16], [32, 64, 128]]
+    assert ran == [[8, 16], [32, 64]]
+    nsteps, estimate, ends = _sequential_doubling(ham, 1.5, 2e-10, pts)
+    gap = _doubling_gaps(ham, 1.5, pts, 64)[-1]
+    assert (ref.nsteps, ref.error_estimate) == (nsteps, estimate) == (64, 2.0 * gap / 255.0)
+    assert gap > 2e-10
     assert np.array_equal(ref.endpoints, ends)
 
 
@@ -408,9 +448,9 @@ def test_the_step_budget_raises_as_the_sequential_doubling_does(kind, max_steps,
 
 
 def _batches_of(monkeypatch, call):
-    """The step counts planned for each ``_rk4_levels`` loop that ``call()`` starts, the step counts of
+    """The step counts planned for each ``_rk_levels`` loop that ``call()`` starts, the step counts of
     the levels that left each loop before it stopped, and the call's result or error."""
-    batches, ran, levels = [], [], flow._rk4_levels
+    batches, ran, levels = [], [], flow._rk_levels
 
     def recorded(ham, p, t, ns):
         batches.append(list(ns))
@@ -419,107 +459,110 @@ def _batches_of(monkeypatch, call):
             ran[-1].append(ns[group])
             yield group, ends
 
-    monkeypatch.setattr(flow, "_rk4_levels", recorded)
+    monkeypatch.setattr(flow, "_rk_levels", recorded)
     try:
         return batches, ran, call()
     except NoConvergenceError as err:
         return batches, ran, err
     finally:
-        monkeypatch.setattr(flow, "_rk4_levels", levels)
+        monkeypatch.setattr(flow, "_rk_levels", levels)
 
 
 def _doubling_gaps(ham, t, probes, max_steps):
-    """The gaps between successive doubling levels from 16 steps to ``max_steps``, from one stacked run."""
-    ends = flow._rk4(ham, probes, t, [16 * 2**k for k in range(int(math.log2(max_steps // 16)) + 1)])
+    """The gaps between successive doubling levels up to ``max_steps``, from one stacked run."""
+    ends = flow._rk(ham, probes, t, [flow._MIN_STEPS << k for k in range((max_steps // flow._MIN_STEPS).bit_length())])
     return [float(np.max(point_distances(ham.mesh_kind, b, a))) for a, b in zip(ends, ends[1:])]
 
 
 def test_a_budget_the_h4_law_cannot_meet_raises_at_once(torus_pair, monkeypatch):
-    """Yoshida 4 at t = 0.35: by 1024 steps the gap shrank 8.4x, then 19x, but is 7.3e-4; even
-    32x in the one doubling left would not reach 1e-6, so the 2048-step level is not run."""
+    """Yoshida 4 at t = 0.3: by 64 steps the gap shrank 135x, then 208x, but is 9.5e-7; even 512x
+    in the one doubling left would not reach 1e-11, so the 128-step level is not run."""
     gen = CocycleGenerator(yoshida(4), *torus_pair)
-    pts = default_probes("torus", 8, seed=23)
+    pts = default_probes("torus", 12, seed=22)
     batches, ran, err = _batches_of(monkeypatch,
-                                    lambda: reference_flow(gen, 0.35, tol=1e-6, probes=pts, max_steps=2048))
-    assert batches == [[16, 32], [64, 128, 256, 512], [1024, 2048]]
-    assert ran == [[16, 32], [64, 128, 256, 512], [1024]]
-    gaps = _doubling_gaps(gen, 0.35, pts, 2048)
+                                    lambda: reference_flow(gen, 0.3, tol=1e-11, probes=pts, max_steps=128))
+    assert batches == [[8, 16], [32, 64, 128]]
+    assert ran == [[8, 16], [32, 64]]
+    gaps = _doubling_gaps(gen, 0.3, pts, 128)
     assert isinstance(err, NoConvergenceError)
-    assert str(err) == ("reference flow cannot reach tol 1.0e-06 by 2048 steps (h^4 law: 4096): gaps "
-                        f"{', '.join(f'{g:.3e}' for g in gaps[:-1])} up to 1024 steps")
-    assert 2.0 * gaps[-1] / 15.0 > 1e-6  # the level it skips would not have been kept either
+    assert str(err) == ("reference flow cannot reach tol 1.0e-11 by 128 steps (h^8 law: 256): gaps "
+                        f"{', '.join(f'{g:.3e}' for g in gaps[:-1])} up to 64 steps")
+    assert 2.0 * gaps[-1] / 255.0 > 1e-11  # the level it skips would not have been kept either
 
 
 def _replay(monkeypatch, gaps, tol, max_steps=1 << 17):
-    """``reference_flow`` on a stand-in whose run with 16 * 2**k steps ends ``sum(gaps[:k])`` from the
-    16-step run, one level at a time: what :func:`_batches_of` reports."""
-    ends = dict(zip([16 * 2**k for k in range(len(gaps) + 1)], np.cumsum([0.0] + gaps).tolist()))
+    """``reference_flow`` on a stand-in whose run with ``_MIN_STEPS * 2**k`` steps ends ``sum(gaps[:k])``
+    from the first run, one level at a time: what :func:`_batches_of` reports."""
+    ends = dict(zip([flow._MIN_STEPS << k for k in range(len(gaps) + 1)], np.cumsum([0.0] + gaps).tolist()))
     stand_in = types.SimpleNamespace(mesh_kind="sphere", velocity=None)
-    monkeypatch.setattr(flow, "_rk4_levels", lambda ham, p, t, ns: ((i, np.array([[ends[n], 0.0, 0.0]]))
-                                                                      for i, n in enumerate(ns)))
+    monkeypatch.setattr(flow, "_rk_levels", lambda ham, p, t, ns: ((i, np.array([[ends[n], 0.0, 0.0]]))
+                                                                     for i, n in enumerate(ns)))
     return _batches_of(monkeypatch, lambda: reference_flow(stand_in, 0.45, tol, np.zeros((1, 3)), max_steps))
 
 
-#: Replayed gaps of Yoshida 4 at t = 0.4 on the torus pair (8 probes of seed 23): flat near 0.5, then
-#: 21x and 58x down.
-_T04_GAPS = [0.535, 0.202, 0.481, 0.5, 0.328, 1.52e-2, 2.6e-4, 8.5e-6]
+#: Replayed gaps of Yoshida 4 at t = 0.4 on the torus pair (8 probes of seed 23), levels 16 to 8192:
+#: flat near 0.5 up to 128 steps, then 102x, 3105x, 147x and 266x down to 4.6e-11 at 2048 steps.
+_T04_GAPS = [0.5391, 0.4525, 0.5585, 0.5672, 5.585e-3, 1.798e-6, 1.226e-8, 4.618e-11, 3.444e-12, 2.018e-12]
 
 
 @pytest.mark.parametrize(
     "gaps,tol,max_steps,batches",
     [
-        (_T04_GAPS, 3e-4, 2048, [[16, 32], [64, 128], [256, 512], [1024, 2048]]),
-        (_T04_GAPS, 1e-5, 4096, [[16, 32], [64, 128, 256, 512], [1024, 2048, 4096]]),
-        # At 256 steps one 10x drop: 32x in the one doubling left could not reach tol, 44x does.
-        ([0.5, 0.45, 0.4, 0.04, 9e-4], 1e-3, 512, [[16, 32], [64, 128], [256, 512]]),
-        # At 512 steps 10x, then 40x: again 32x could not reach tol, 50x does.
-        ([0.5, 0.45, 0.4, 0.04, 1e-3, 2e-5], 3e-5, 1024, [[16, 32], [64, 128, 256], [512, 1024]]),
+        (_T04_GAPS, 5e-11, 2048, [[8, 16], [32, 64, 128, 256], [512, 1024, 2048]]),
+        # At 2048 steps the gap is in the h^8 range, but gap / 255 is below the rounding floor 1e-12.
+        (_T04_GAPS, 1e-11, 4096, [[8, 16], [32, 64, 128, 256], [512, 1024, 2048], [4096]]),
+        # At 128 steps one 160x drop: 512x in the one doubling left could not reach tol, 714x does.
+        ([0.5, 0.45, 0.4, 2.5e-3, 3.5e-6], 4e-6, 256, [[8, 16], [32, 64], [128, 256]]),
+        # At 256 steps 160x, then 600x: again 512x could not reach tol, 700x does.
+        ([0.5, 0.45, 0.4, 2.5e-3, 2.5e-3 / 600, 2.5e-3 / 600 / 700], 7e-9, 512, [[8, 16], [32, 64, 128], [256, 512]]),
     ],
-    ids=["t04-2048", "t04-4096", "10x", "10x-40x"],
+    ids=["t04-2048", "t04-4096", "160x", "160x-600x"],
 )
 def test_drops_outside_the_h4_range_do_not_stop_a_calibration(monkeypatch, gaps, tol, max_steps, batches):
-    """A doubling that shrinks the gap 8x or more can come before a larger drop, and so can one that
-    shrinks it more than 32x: these calibrations converge on their last level and keep the batches
-    the h^4 law plans."""
+    """A doubling that shrinks the gap 2^(p-1)x or more can come before a larger drop, and so can
+    one that shrinks it more than 2^(p+1)x: these calibrations converge on their last level and
+    keep the batches the h^p law plans (p = 8; the name is from the order-4 integrator)."""
     got, ran, ref = _replay(monkeypatch, gaps, tol, max_steps)
     assert got == ran == batches
-    assert (ref.nsteps, ref.error_estimate) == (max_steps, pytest.approx(gaps[int(math.log2(max_steps // 32))]))
+    last = (max_steps // flow._MIN_STEPS).bit_length() - 2
+    assert (ref.nsteps, ref.error_estimate) == (max_steps, pytest.approx(gaps[last]))
 
 
-#: Replayed gaps of Yoshida 4 at t = 0.45 on the torus pair (24 probes of seed 5), levels 32 to 32768:
-#: 0.53 to 0.67 up to 2048 steps, 0.47 at 4096, then 17x, 24x and 19x down.
-_T045_GAPS = [0.615, 0.533, 0.642, 0.670, 0.536, 0.598, 0.620, 0.474, 2.76e-2, 1.16e-3, 6.25e-5]
+#: Replayed gaps of Yoshida 4 at t = 0.45 on the torus pair (24 probes of seed 5), levels 16 to 8192:
+#: 0.57 to 0.67 up to 512 steps, 0.18 at 1024, then 18x, 483x and 214x down.
+_T045_GAPS = [0.6498, 0.6119, 0.5703, 0.6695, 0.5866, 0.6148, 0.1762, 9.761e-3, 2.022e-5, 9.435e-8]
 
 
 def test_a_hopeless_level_stops_the_loop_inside_its_batch(monkeypatch):
-    """At tol 1e-8 the last batch is planned up to the 131072-step budget.  Once the 16384-step level
-    leaves, the gap has shrunk 17x and 24x to 1.16e-3, which 32x per doubling left could not bring to
-    tol: the loop stops there, after 32 + 2048 + 16384 iterations of the 131072 planned."""
-    batches, ran, err = _replay(monkeypatch, _T045_GAPS, 1e-8)
-    assert batches == [[16, 32], [64, 128, 256, 512, 1024, 2048], [4096, 8192, 16384, 32768, 65536, 131072]]
-    assert ran == [[16, 32], [64, 128, 256, 512, 1024, 2048], [4096, 8192, 16384]]
-    assert sum(levels[-1] for levels in ran) == 18_464
+    """At tol 1e-13 the last batch is planned up to the 16384-step level of a 32768-step budget.  Once
+    the 8192-step level leaves, the gap has shrunk 483x and 214x to 9.4e-8, which 512x per doubling
+    left could not bring to tol: the loop stops there, after 16 + 512 + 8192 iterations of the 16384
+    planned."""
+    batches, ran, err = _replay(monkeypatch, _T045_GAPS, 1e-13, 1 << 15)
+    assert batches == [[8, 16], [32, 64, 128, 256, 512], [1024, 2048, 4096, 8192, 16384]]
+    assert ran == [[8, 16], [32, 64, 128, 256, 512], [1024, 2048, 4096, 8192]]
+    assert sum(levels[-1] for levels in ran) == 8_720
     assert isinstance(err, NoConvergenceError)
-    assert str(err) == ("reference flow cannot reach tol 1.0e-08 by 131072 steps (h^4 law: 262144): gaps "
-                        f"{', '.join(f'{g:.3e}' for g in _T045_GAPS[:-1])} up to 16384 steps")
+    assert str(err) == ("reference flow cannot reach tol 1.0e-13 by 32768 steps (h^8 law: 32768): gaps "
+                        f"{', '.join(f'{g:.3e}' for g in _T045_GAPS)} up to 8192 steps")
 
 
-#: (surface, scheme, t) whose calibrations need more than 512 steps at every tol of the corpus below
-#: (2048 to 65536 steps at tol 1e-6 to 1e-9): left out, since the corpus keeps to 512 steps.
-_SLOW = {("torus", "yoshida-4", 0.4), ("torus", "yoshida-6", 0.2), ("torus", "yoshida-6", 0.4)}
+#: (scheme, t, max_steps) per surface whose doubling gaps reach the h^p range while 2 gap / (2^p - 1) is
+#: above the rounding floor (at order 8 the gaps of shorter flows fall within tol before that), with a
+#: step budget one level past the Richardson-kept ones.
+_RICHARDSON_CASES = {"torus": [(lie_trotter(), 1.2, 128), (strang(), 0.8, 256), (yoshida(4), 0.25, 128)],
+                     "sphere": [(lie_trotter(), 2.4, 128), (strang(), 2.4, 128), (yoshida(4), 1.6, 128)]}
 
 
 @pytest.mark.parametrize("surface", ["torus", "sphere"])
 def test_levels_kept_on_the_richardson_estimate_meet_tol_against_the_exact_flow(surface, torus_pair, sphere_pair,
                                                                                monkeypatch):
-    """Every level kept with estimate 2 gap / 15, its gap above tol, is within tol and within that
-    estimate of the generator's exact flow, ``compose_scheme``.  Each level is run once per scheme
-    and t and replayed for every tol: a level run alone is what a stacked run gives, bit for bit."""
+    """Every level kept with estimate 2 gap / (2^p - 1), its gap above tol, is within tol and within
+    that estimate of the generator's exact flow, ``compose_scheme``.  Each level is run once per
+    scheme and t and replayed for every tol: a level run alone is what a stacked run gives, bit for bit."""
     f, g = torus_pair if surface == "torus" else sphere_pair
-    pts, levels, kept = default_probes(surface, 4, seed=5), flow._rk4_levels, []
-    for scheme, t in itertools.product([lie_trotter(), strang(), yoshida(4), yoshida(6)], (0.05, 0.2, 0.4)):
-        if (surface, scheme.label, t) in _SLOW:
-            continue
+    pts, levels, kept = default_probes(surface, 4, seed=5), flow._rk_levels, []
+    for scheme, t, max_steps in _RICHARDSON_CASES[surface]:
         gen, exact, runs = CocycleGenerator(scheme, f, g), compose_scheme(scheme, f, g, t).apply(pts), {}
 
         def replayed(ham, p, t, ns):
@@ -528,10 +571,10 @@ def test_levels_kept_on_the_richardson_estimate_meet_tol_against_the_exact_flow(
                     runs[n] = next(levels(ham, p, t, [n]))[1]
                 yield i, runs[n]
 
-        monkeypatch.setattr(flow, "_rk4_levels", replayed)
-        for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        monkeypatch.setattr(flow, "_rk_levels", replayed)
+        for tol in 10.0 ** -np.arange(6.0, 11.25, 0.5):
             try:
-                ref = reference_flow(gen, t, tol=tol, probes=pts, max_steps=512)
+                ref = reference_flow(gen, t, tol=tol, probes=pts, max_steps=max_steps)
             except NoConvergenceError:
                 continue
             if np.max(point_distances(surface, runs[ref.nsteps], runs[ref.nsteps // 2])) > tol:
@@ -548,10 +591,10 @@ def test_a_multi_group_run_equals_separate_runs(kind, torus_pair, sphere_pair, s
     ham = _hamiltonian(kind, torus_pair, sphere_pair, sphere, path_pair)
     pts = default_probes(ham.mesh_kind, 7, seed=24)
     ts, ns = [0.2, 0.05, 0.2, 0.1], [16, 24, 40, 16]
-    stacked = flow._rk4(ham, pts, ts, ns)
+    stacked = flow._rk(ham, pts, ts, ns)
     assert stacked.shape == (4,) + pts.shape
     for ends, t, n in zip(stacked, ts, ns):
-        assert np.array_equal(ends, flow._rk4(ham, pts, t, n))
+        assert np.array_equal(ends, flow._rk(ham, pts, t, n))
 
 
 @pytest.mark.parametrize("surface", ["torus", "sphere"])
@@ -589,7 +632,7 @@ def test_kept_endpoints_of_a_sphere_generator_equal_a_fresh_run(sphere_pair):
     gen = CocycleGenerator(strang(), *sphere_pair)
     pts = default_probes("sphere", 12, seed=26)
     ref = reference_flow(gen, 0.2, tol=1e-9, probes=pts)
-    assert np.array_equal(ref.apply(pts), flow._rk4(gen, pts, ref.t, ref.nsteps))
+    assert np.array_equal(ref.apply(pts), flow._rk(gen, pts, ref.t, ref.nsteps))
 
 
 def test_velocity_rounds_as_the_column_stack_and_cross_forms(torus, sphere):

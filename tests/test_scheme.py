@@ -184,10 +184,10 @@ def test_validate_order_too_few_points(torus_pair):
 
 
 def test_validate_order_rejects_a_field_without_exact_flow_before_calibrating(monkeypatch):
-    def no_rk4(*args):
+    def no_rk(*args):
         raise AssertionError("the reference flow was integrated")
 
-    monkeypatch.setattr(flow, "_rk4", no_rk4)
+    monkeypatch.setattr(flow, "_rk", no_rk)
     mesh = build_sphere(3)
     with pytest.raises(NotRecognizedError):
         validate_order(strang(), sample(mesh, "1 - 2*x^2"), sample(mesh, "1 - 2*y^2"))

@@ -2,10 +2,11 @@
 
     python tools/identity.py [--against REV] [--json PATH]
 
-REV (default ``HEAD``) is checked out with ``git worktree`` into a
-temporary directory.  One fixed corpus then runs in each tree, one process
-per tree, each from its own temporary directory with the same relative paths,
-so the sidecars' ``config.out`` and ``config_hash`` agree.  The corpus:
+The ``src`` directory of REV (default ``HEAD``) is exported with
+``git archive`` into a temporary directory.  One fixed corpus then runs in
+each tree, one process per tree, each from its own temporary directory with
+the same relative paths, so the sidecars' ``config.out`` and ``config_hash``
+agree.  The corpus:
 
 - CLI commands through ``symflow.cli.run``: the CSV bytes, stdout, stderr,
   exit code and the JSON sidecar without ``wall_time_s``, ``minor_faults``
@@ -14,13 +15,18 @@ so the sidecars' ``config.out`` and ``config_hash`` agree.  The corpus:
   tie-heavy ones, noise, plateaus of signed zeros, a constant): ``to_json``,
   ``repr(median)``, ``total_mass``, ``node_of_vertex`` and
   ``edge_of_vertex``;
-- the ``yoshida`` coefficients as ``float.hex``.
+- the ``yoshida`` coefficients as ``float.hex``;
+- reference calibrations of Lie-Trotter, Strang and Yoshida 4 generators on
+  the torus and sphere pairs: ``nsteps``, ``error_estimate``, the count of
+  ``velocity`` calls, the distance to ``compose_scheme`` and the endpoints
+  as ``float.hex``, or the ``NoConvergenceError`` text and its calls.
 
 Each artifact is reported as "identical", or with the count of differing
 bytes (stdout, stderr) or cells (CSV, sidecar, arrays) and the largest
 relative difference between the numbers in it.  The report is also written
 as JSON.  The exit code is 0 when every artifact is identical, else 1.
-Needs no network; takes about ten seconds on a 2-vCPU machine.
+Needs no network; takes about a minute on a 2-vCPU machine, most of it in
+the two Yoshida 4 torus calibrations at t = 0.4 and 0.45.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -145,6 +152,51 @@ def _yoshida_artifacts() -> dict:
             for k in (2, 4, 6, 8)}
 
 
+#: name -> (surface, scheme, t, tol, probe count); probes of seed 5.
+CALIBRATIONS = {
+    **{f"calibrate-{surface}-{label}": (surface, label, 0.2, 1e-10, 12)
+       for surface in ("torus", "sphere") for label in ("lie-trotter", "strang", "yoshida-4")},
+    "calibrate-torus-lie-trotter-t0.4": ("torus", "lie-trotter", 0.4, 1e-12, 12),
+    "calibrate-torus-yoshida-4-t0.4": ("torus", "yoshida-4", 0.4, 1e-9, 12),
+    "calibrate-torus-yoshida-4-t0.45": ("torus", "yoshida-4", 0.45, 1e-8, 24),
+}
+
+
+def _calibration_artifacts() -> dict:
+    import numpy as np
+    from symflow import flow
+    from symflow.manifold import build_sphere, build_torus, sample
+    from symflow.scheme import lie_trotter, strang, yoshida
+
+    schemes = {"lie-trotter": lie_trotter(), "strang": strang(), "yoshida-4": yoshida(4)}
+    pairs = {"torus": (build_torus(TORUS["torus_n"], TORUS["torus_n"]), TORUS),
+             "sphere": (build_sphere(SPHERE["level"]), SPHERE)}
+    pairs = {kind: (sample(mesh, spec["f"]), sample(mesh, spec["g"])) for kind, (mesh, spec) in pairs.items()}
+    found = {}
+    for name, (surface, label, t, tol, n) in CALIBRATIONS.items():
+        gen, calls = flow.CocycleGenerator(schemes[label], *pairs[surface]), [0]
+
+        def counted(pts, s, velocity=gen.velocity, calls=calls):
+            calls[0] += 1
+            return velocity(pts, s)
+
+        gen.velocity = counted
+        probes = flow.default_probes(surface, n, seed=5)
+        try:
+            ref = flow.reference_flow(gen, t, tol=tol, probes=probes)
+        except flow.NoConvergenceError as err:
+            found[name] = ("cells", {"error": str(err), "velocity_calls": str(calls[0])})
+            found[f"{name}.endpoints"] = ("cells", {})
+            continue
+        exact = flow.compose_scheme(schemes[label], *pairs[surface], t).apply(probes)
+        gap = float(max(flow.point_distances(surface, ref.endpoints, exact)))
+        found[name] = ("cells", {"nsteps": str(ref.nsteps), "error_estimate": ref.error_estimate.hex(),
+                                 "velocity_calls": str(calls[0]), "exact_distance": gap.hex()})
+        ends = np.ndenumerate(ref.endpoints)
+        found[f"{name}.endpoints"] = ("cells", {f"{i}/{j}": float(v).hex() for (i, j), v in ends})
+    return found
+
+
 def run_corpus(result: str, src: str) -> None:
     import symflow
 
@@ -156,6 +208,7 @@ def run_corpus(result: str, src: str) -> None:
         found.update(_cli_artifacts(name, argv, spec))
     found.update(_tree_artifacts())
     found.update(_yoshida_artifacts())
+    found.update(_calibration_artifacts())
     with open(result, "w") as fh:
         json.dump(found, fh)
 
@@ -224,7 +277,9 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="symflow-identity-"))
     tree = tmp / "tree"
     try:
-        _git("worktree", "add", "--detach", str(tree), sha)
+        archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT, check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
         procs = {}
         for side, root in (("new", ROOT), ("old", tree)):
             (tmp / side).mkdir()
@@ -236,8 +291,6 @@ def main(argv=None) -> int:
             raise SystemExit("a corpus run failed")
         new, old = (json.loads((tmp / f"{side}.json").read_text()) for side in ("new", "old"))
     finally:
-        if tree.exists():
-            _git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
     report = {}
     for name in sorted(set(new) | set(old)):
